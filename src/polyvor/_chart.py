@@ -17,6 +17,7 @@ import math
 
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
+INV_HALF_SQRT3 = 2.0 / SQRT3
 
 # plotting-chart bounding box of the simplex triangle
 PLOT_BOX = (0.0, 1.0, 0.0, HALF_SQRT3)
@@ -35,13 +36,13 @@ def plot_xy(coords):
 
 def plot_to_point(x, y):
     """Invert the plotting chart; returns (t1, t2, t3) with t3 = 1 - t1 - t2."""
-    t2 = y * (2.0 / SQRT3)
+    t2 = y * INV_HALF_SQRT3
     t1 = x - 0.5 * t2
     return t1, t2, 1.0 - t1 - t2
 
 
 def plot_to_direction(a, b):
     """Invert the plotting chart on a vector; returns a sum-zero triple."""
-    t2 = b * (2.0 / SQRT3)
+    t2 = b * INV_HALF_SQRT3
     t1 = a - 0.5 * t2
     return t1, t2, -t1 - t2

@@ -1,139 +1,57 @@
-"""Raster classification kernels (the only hot loop in the package).
+"""Raster classification kernel (the only hot loop in the package).
 
 Label every pixel of a grid over the simplex with the index of the nearest
 curve sample under a polyhedral norm, the norm being evaluated as the max
 of its facet functionals on the rational-chart difference vector.
 
-Two interchangeable implementations:
-
-* a numba ``@njit(parallel=True, cache=True)`` kernel (used when numba
-  imports), and
-* a pure-numpy row-blocked fallback.
-
-Both follow the exact same elementwise expression order (scalar multiply,
-add, running max/min; no dot products, no fastmath), so their outputs are
-bit-identical and the test suite asserts full label equality.
-
-Environment:
-    POLYVOR_NO_NUMBA=1   force the numpy fallback (checked per call)
-    POLYVOR_THREADS=N    cap the numba thread count
+Every float distance in the package goes through ``gauge`` and every
+nearest / second-nearest / TIE decision through ``_nearest``, so the grid,
+loose points and the certificate screen share one elementwise expression
+order (scalar multiply, add, running max; no dot products) and agree bit
+for bit.
 """
-
-import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit, prange
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-    prange = range
+from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3
 
 OUTSIDE = -1
 TIE = -2
 
-SQRT3_2 = math.sqrt(3.0) / 2.0
-INV_H = 2.0 / math.sqrt(3.0)
+
+def backend_name() -> str:
+    """Name of the raster kernel, reported in the raster JSON."""
+    return "numpy"
 
 
-def _classify_grid_loop(res, a0, a1, s1, s2, tie_tol, labels):
-    """Shared loop body; jitted when numba is available.
+def gauge(a0, a1, d1, d2, out):
+    """Write max_f(a0[f]*d1 + a1[f]*d2) into ``out`` and return it.
 
-    Pixel centers live on the plotting-chart box [0,1] x [0,sqrt(3)/2],
-    row iy = 0 at the bottom.  Distance to sample kk is
-    max_f(a0[f]*(s1[kk]-t1) + a1[f]*(s2[kk]-t2)) in the rational chart.
+    (d1, d2) are rational-chart difference vectors, broadcast to the shape
+    of ``out``; (a0[f], a1[f]) are the float facet functionals of the unit
+    ball.  Products go into preallocated buffers: fresh full-size
+    temporaries per facet cost page faults, not arithmetic.
     """
-    nf = a0.shape[0]
-    nk = s1.shape[0]
-    dx = 1.0 / res
-    dy = SQRT3_2 / res
-    for iy in prange(res):
-        py = (iy + 0.5) * dy
-        t2 = py * INV_H
-        for ix in range(res):
-            px = (ix + 0.5) * dx
-            t1 = px - 0.5 * t2
-            t3 = 1.0 - t1 - t2
-            if t1 < 0.0 or t2 < 0.0 or t3 < 0.0:
-                labels[iy, ix] = OUTSIDE
-                continue
-            best = np.inf
-            second = np.inf
-            arg = -1
-            for kk in range(nk):
-                d1 = s1[kk] - t1
-                d2 = s2[kk] - t2
-                dist = a0[0] * d1 + a1[0] * d2
-                for ff in range(1, nf):
-                    v = a0[ff] * d1 + a1[ff] * d2
-                    if v > dist:
-                        dist = v
-                if dist < best:
-                    second = best
-                    best = dist
-                    arg = kk
-                elif dist < second:
-                    second = dist
-            if second - best < tie_tol:
-                labels[iy, ix] = TIE
-            else:
-                labels[iy, ix] = arg
+    term = np.empty_like(out)
+    np.multiply(a0[0], d1, out=out)
+    out += a1[0] * d2
+    for f in range(1, len(a0)):
+        np.multiply(a0[f], d1, out=term)
+        term += a1[f] * d2
+        np.maximum(out, term, out=out)
+    return out
 
 
-if HAVE_NUMBA:
-    _classify_grid_jit = njit(parallel=True, cache=True)(_classify_grid_loop)
+def _nearest(dist, tie_tol):
+    """Per row of ``dist``: (label, best, second), label TIE when ambiguous.
 
-
-def classify_grid_numpy(res, a0, a1, s1, s2, tie_tol):
-    """Pure-numpy fallback, row at a time; bit-identical to the jit kernel."""
-    labels = np.full((res, res), OUTSIDE, dtype=np.int64)
-    dx = 1.0 / res
-    dy = SQRT3_2 / res
-    px = (np.arange(res) + 0.5) * dx
-    for iy in range(res):
-        py = (iy + 0.5) * dy
-        t2 = py * INV_H
-        t1 = px - 0.5 * t2
-        t3 = 1.0 - t1 - t2
-        inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2 >= 0.0)
-        if not inside.any():
-            continue
-        t1in = t1[inside]
-        d1 = s1[None, :] - t1in[:, None]
-        d2 = (s2 - t2)[None, :]
-        dist = a0[0] * d1 + a1[0] * d2
-        for ff in range(1, a0.shape[0]):
-            np.maximum(dist, a0[ff] * d1 + a1[ff] * d2, out=dist)
-        rows = np.arange(dist.shape[0])
-        arg = np.argmin(dist, axis=1)
-        best = dist[rows, arg]
-        dist[rows, arg] = np.inf
-        second = dist.min(axis=1)
-        lab = arg.astype(np.int64)
-        lab[second - best < tie_tol] = TIE
-        labels[iy, inside] = lab
-    return labels
-
-
-def classify_points_numpy(t1, t2, a0, a1, s1, s2, tie_tol):
-    """Classify loose rational-chart points (no grid); same arithmetic.
-
-    Returns (labels, best, second) so callers can inspect margins.
+    The label is the first column of minimal distance, or TIE when the
+    second-smallest distance is within ``tie_tol`` of it.  Overwrites the
+    minimal entries of ``dist``.
     """
-    t1 = np.atleast_1d(np.asarray(t1, dtype=np.float64))
-    t2 = np.atleast_1d(np.asarray(t2, dtype=np.float64))
-    d1 = s1[None, :] - t1[:, None]
-    d2 = s2[None, :] - t2[:, None]
-    dist = a0[0] * d1 + a1[0] * d2
-    for ff in range(1, a0.shape[0]):
-        np.maximum(dist, a0[ff] * d1 + a1[ff] * d2, out=dist)
     rows = np.arange(dist.shape[0])
     arg = np.argmin(dist, axis=1)
-    best = dist[rows, arg].copy()
+    best = dist[rows, arg]
     dist[rows, arg] = np.inf
     second = dist.min(axis=1)
     lab = arg.astype(np.int64)
@@ -141,27 +59,39 @@ def classify_points_numpy(t1, t2, a0, a1, s1, s2, tie_tol):
     return lab, best, second
 
 
-def _numba_wanted() -> bool:
-    return HAVE_NUMBA and os.environ.get("POLYVOR_NO_NUMBA", "") not in ("1", "true", "yes")
-
-
-def backend_name() -> str:
-    """Which kernel a classify_grid call would use right now."""
-    return "numba" if _numba_wanted() else "numpy"
-
-
 def classify_grid(res, a0, a1, s1, s2, tie_tol):
-    """Dispatch to the jit kernel or the numpy fallback (env-controlled)."""
-    a0 = np.ascontiguousarray(a0, dtype=np.float64)
-    a1 = np.ascontiguousarray(a1, dtype=np.float64)
-    s1 = np.ascontiguousarray(s1, dtype=np.float64)
-    s2 = np.ascontiguousarray(s2, dtype=np.float64)
-    if _numba_wanted():
-        req = os.environ.get("POLYVOR_THREADS")
-        if req:
-            cap = numba.config.NUMBA_NUM_THREADS
-            numba.set_num_threads(max(1, min(int(req), cap)))
-        labels = np.empty((res, res), dtype=np.int64)
-        _classify_grid_jit(res, a0, a1, s1, s2, tie_tol, labels)
-        return labels
-    return classify_grid_numpy(res, a0, a1, s1, s2, tie_tol)
+    """Label a res x res grid of pixel centers by nearest sample (s1, s2).
+
+    Pixel centers live on the plotting-chart box [0,1] x [0,sqrt(3)/2],
+    row iy = 0 at the bottom; pixels outside the simplex are OUTSIDE.
+    """
+    labels = np.full((res, res), OUTSIDE, dtype=np.int64)
+    px = (np.arange(res) + 0.5) * (1.0 / res)
+    dy = HALF_SQRT3 / res
+    d1 = np.empty((res, len(s1)))
+    dist = np.empty_like(d1)
+    for iy in range(res):
+        t2 = (iy + 0.5) * dy * INV_HALF_SQRT3
+        t1 = px - 0.5 * t2
+        t3 = 1.0 - t1 - t2
+        inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2 >= 0.0)
+        t1in = t1[inside]
+        n = len(t1in)
+        if n == 0:
+            continue
+        np.subtract(s1, t1in[:, None], out=d1[:n])
+        gauge(a0, a1, d1[:n], s2 - t2, dist[:n])
+        labels[iy, inside] = _nearest(dist[:n], tie_tol)[0]
+    return labels
+
+
+def classify_points(t1, t2, a0, a1, s1, s2, tie_tol):
+    """Classify loose rational-chart points (no grid); same arithmetic.
+
+    Returns (labels, best, second) so callers can inspect margins.
+    """
+    t1 = np.atleast_1d(np.asarray(t1, dtype=np.float64))
+    t2 = np.atleast_1d(np.asarray(t2, dtype=np.float64))
+    dist = np.empty((len(t1), len(s1)))
+    gauge(a0, a1, s1 - t1[:, None], s2 - t2[:, None], dist)
+    return _nearest(dist, tie_tol)

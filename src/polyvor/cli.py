@@ -191,9 +191,7 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="polyvor",
         description="Wasserstein balls, tangency counts and raster Voronoi "
-                    "diagrams in the probability simplex.",
-        epilog="Env: POLYVOR_NO_NUMBA=1 forces the numpy raster kernel; "
-               "POLYVOR_THREADS caps numba threads.")
+                    "diagrams in the probability simplex.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("distance", help="Wasserstein distance between simplex points")
@@ -248,14 +246,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = args.fn(args)
+        text = json.dumps(out, indent=2, allow_nan=False)
     except (MetricError, DimensionMismatch, TooLarge, Infeasible, ValueError,
-            OSError, json.JSONDecodeError) as exc:
+            ArithmeticError, OSError, json.JSONDecodeError) as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
                   sys.stdout)
         print()
         return 1
-    json.dump(out, sys.stdout, indent=2)
-    print()
+    print(text)
     if args.command == "check" and not out["all_pass"]:
         return 1
     return 0

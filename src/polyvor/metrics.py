@@ -68,18 +68,27 @@ class FiniteMetric:
         return [list(row) for row in self.entries]
 
 
+def _entry(x, i, j) -> Fraction:
+    """One matrix entry as a Fraction; non-finite or malformed is a MetricError."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise MetricError(f"entry ({i + 1},{j + 1}) is not a finite rational: "
+                          f"{x!r}") from None
+
+
 def validate_metric(matrix) -> FiniteMetric:
     """Check metric axioms on a square matrix and return a FiniteMetric.
 
-    Entries may be ints, Fractions, floats or "p/q" strings.  Checks run
-    in a fixed order (diagonal, symmetry, positivity, triangle) and the
-    raised error carries the offending 1-based indices.
+    Entries may be ints, Fractions, finite floats or "p/q" strings.  Checks
+    run in a fixed order (conversion, diagonal, symmetry, positivity,
+    triangle) and the raised error carries the offending 1-based indices.
     """
     rows = [list(r) for r in matrix]
     k = len(rows)
     if k < 2 or any(len(r) != k for r in rows):
         raise MetricError("cost matrix must be square with at least 2 states")
-    m = [[Fraction(x) for x in r] for r in rows]
+    m = [[_entry(x, i, j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
     for i in range(k):
         if m[i][i] != 0:
             raise NonzeroDiagonal(i + 1)

@@ -44,7 +44,10 @@ def _coerce_coords(seq, exact=None):
         exact = _is_exact(vals)
     if exact:
         return tuple(Fraction(v) for v in vals)
-    return tuple(float(v) for v in vals)
+    floats = tuple(float(v) for v in vals)
+    if not all(math.isfinite(v) for v in floats):
+        raise ValueError("coordinates must be finite")
+    return floats
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,21 @@ def _facet_data(d: FiniteMetric):
     return tuple(exact), a0, a1, tuple(hull)
 
 
+def _facet_values(exact, w1, w2):
+    """Exact facet functional values <a_f, w> at a rational-chart vector."""
+    return [a * w1 + b * w2 for a, b in exact]
+
+
 def exact_gauge(d: FiniteMetric, w) -> Fraction:
     """Exact unit-ball gauge of a sum-zero vector via facet functionals."""
     exact, _, _, _ = _facet_data(d)
     w1, w2 = chart2(w.coords if hasattr(w, "coords") else tuple(w))
-    return max(a * w1 + b * w2 for a, b in exact)
+    return max(_facet_values(exact, w1, w2))
+
+
+def _check_nonnegative(name, value):
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -147,11 +157,12 @@ def classify(point, sample: CurveSample, d: FiniteMetric,
     Two samples tie when their distances differ by less than
     ``tie_tolerance``; samples that coincide as points count as one.
     """
+    _check_nonnegative("tie tolerance", tie_tolerance)
     _, a0, a1, _ = _facet_data(d)
     p = as_affine_point(point, chart="hyperplane")
     t1, t2 = float(p.coords[0]), float(p.coords[1])
-    lab, _, _ = _kernels.classify_points_numpy(t1, t2, a0, a1,
-                                               sample.u1, sample.u2, tie_tolerance)
+    lab, _, _ = _kernels.classify_points(t1, t2, a0, a1,
+                                         sample.u1, sample.u2, tie_tolerance)
     out = int(lab[0])
     return out if out < 0 else int(sample.rep[out])
 
@@ -178,6 +189,7 @@ class VoronoiRaster:
 
     def full_dim_labels(self, threshold: float = FULL_DIM_THRESHOLD):
         """Labels whose pixel area reaches threshold * resolution^2."""
+        _check_nonnegative("threshold", threshold)
         cut = threshold * self.resolution * self.resolution
         return sorted(i for i, c in self.pixel_counts().items() if c >= cut)
 
@@ -190,6 +202,7 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     """Label a resolution^2 grid with nearest-sample indices under ``d``."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    _check_nonnegative("tie tolerance", tie_tolerance)
     _, a0, a1, _ = _facet_data(d)
     labels = _kernels.classify_grid(resolution, a0, a1, sample.u1, sample.u2,
                                     tie_tolerance)
@@ -289,6 +302,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
     one facet functional (relative interior of an edge).  Returns a falsy
     NotFound when no candidate survives.
     """
+    _check_nonnegative("tie tolerance", tie_tolerance)
     exact, a0, a1, _ = _facet_data(d)
     idx = sample.nearest_index(point)
     p = as_affine_point(point, chart="hyperplane")
@@ -335,20 +349,16 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
                 trials += 1
                 wy = (x0 + sgn * t * nu[0], y0 + sgn * t * nu[1])
                 t1, t2, _ = plot_to_point(*wy)
-                dists = a0[0] * (sample.u1 - t1) + a1[0] * (sample.u2 - t2)
-                for ff in range(1, len(a0)):
-                    np.maximum(dists, a0[ff] * (sample.u1 - t1)
-                               + a1[ff] * (sample.u2 - t2), out=dists)
-                eps_f = dists[self_slot]
-                others = np.delete(dists, self_slot)
-                if len(others) and others.min() - eps_f < tie_tolerance:
+                lab, _, _ = _kernels.classify_points(t1, t2, a0, a1, sample.u1,
+                                                     sample.u2, tie_tolerance)
+                if lab[0] != self_slot:
                     continue
 
                 # exact confirmation
                 y_ex = exact_point(AffinePoint(plot_to_point(*wy), chart="hyperplane"))
                 w1 = x_ex.coords[0] - y_ex.coords[0]
                 w2 = x_ex.coords[1] - y_ex.coords[1]
-                vals = [a * w1 + b * w2 for a, b in exact]
+                vals = _facet_values(exact, w1, w2)
                 eps = max(vals)
                 if eps <= 0 or sum(1 for v in vals if v == eps) != 1:
                     continue
@@ -358,8 +368,8 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
                         continue
                     s1 = Fraction(float(sample.u1[slot]))
                     s2 = Fraction(float(sample.u2[slot]))
-                    dv = max(a * (s1 - y_ex.coords[0]) + b * (s2 - y_ex.coords[1])
-                             for a, b in exact)
+                    dv = max(_facet_values(exact, s1 - y_ex.coords[0],
+                                           s2 - y_ex.coords[1]))
                     if dv <= eps:
                         ok = False
                         break

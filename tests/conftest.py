@@ -40,8 +40,8 @@ def hw():
 def hw_raster(hw, metrics):
     """Memoized Hardy-Weinberg rasters keyed by (metric name, R, samples).
 
-    The 512x512 rasters take about half a second each under numba and are
-    reused by the voronoi unit tests and the acceptance suite.
+    The 512x512 rasters take a few seconds each, so they are computed once
+    and reused by the voronoi unit tests and the acceptance suite.
     """
     samples = {}
     rasters = {}

@@ -115,7 +115,7 @@ def test_raster_at_reference_scale(tmp_path, capsys):
     code, out = run(["raster", "--metric", path], capsys)
     assert code == 0
     assert out["resolution"] == 512 and out["samples"] == 1001
-    assert out["backend"] in ("numba", "numpy")
+    assert out["backend"] == "numpy"
     assert out["threshold_pixels"] == 0.001 * 512 * 512
     assert len(out["full_dim"]) == 1
     assert abs(out["full_dim"][0]["parameter"] - 0.5) <= 0.002
@@ -157,6 +157,27 @@ def test_metric_file_errors(tmp_path, capsys):
     code, out = run(["count", "--metric", tri], capsys)
     assert code == 1
     assert out["error"]["type"] == "TriangleViolation"
+
+
+@pytest.mark.parametrize("entry, argv, err", [
+    ('"1/0"', ["count"], "MetricError"),
+    ("1e400", ["count"], "MetricError"),
+    ("1", ["distance", "--mu", "1/0,1,0", "--nu", "1,0,0"], "ZeroDivisionError"),
+    ("1", ["distance", "--no-exact", "--mu", "nan,0.5,0.5", "--nu", "1,0,0"],
+     "ValueError"),
+    ("1", ["raster", "--resolution", "8", "--samples", "11",
+           "--tie-tolerance", "nan"], "ValueError"),
+    ("1", ["raster", "--resolution", "8", "--samples", "11",
+           "--threshold", "-1"], "ValueError"),
+])
+def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
+                                                            entry, argv, err):
+    path = tmp_path / "d.json"
+    path.write_text('{"d": [[0, %s, 1], [%s, 0, 1], [1, 1, 0]]}' % (entry, entry))
+    code = cli.main(argv[:1] + ["--metric", str(path)] + argv[1:])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == err
 
 
 def test_check_all_pass(capsys):

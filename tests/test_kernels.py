@@ -1,21 +1,14 @@
-"""Kernel dispatch and bit-identity tests for the raster classifiers."""
+"""Bit-identity and behaviour tests for the raster classifiers."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from polyvor._kernels import (
-    HAVE_NUMBA,
-    OUTSIDE,
-    TIE,
-    backend_name,
-    classify_grid,
-    classify_grid_numpy,
-    classify_points_numpy,
-)
+from polyvor._kernels import OUTSIDE, TIE, classify_grid, classify_points
 from polyvor.voronoi import _facet_data
-from polyvor import hardy_weinberg_curve, sample_curve
+from polyvor import circle_curve, hardy_weinberg_curve, sample_curve
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -26,28 +19,37 @@ def setup_arrays(metrics, name="two_cell", n=201):
     return a0, a1, s.u1, s.u2
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_labels_bit_identical(metrics, monkeypatch):
-    a0, a1, s1, s2 = setup_arrays(metrics)
-    monkeypatch.delenv("POLYVOR_NO_NUMBA", raising=False)
-    assert backend_name() == "numba"
-    via_numba = classify_grid(128, a0, a1, s1, s2, 1e-9)
-    monkeypatch.setenv("POLYVOR_NO_NUMBA", "1")
-    assert backend_name() == "numpy"
-    via_numpy = classify_grid(128, a0, a1, s1, s2, 1e-9)
-    assert np.array_equal(via_numba, via_numpy)
+# sha256 of the int64 classify_grid labels at 128^2 with 201 samples, as
+# produced by the brute-force row kernel; any kernel change must keep them
+PINNED_LABELS = {
+    ("unit", "hw"): "0569ddc0c65c831d90a93b5f85efc47716b10ea794ea5604544854ae547b12e5",
+    ("line", "hw"): "714d846d8f2f32dfcf28945c5173193b8d080b4ebe8679c35af6c644ad000d15",
+    ("two_cell", "hw"): "c2fed2dcc1673ef730d38545f5c6c33855c9b934b31c224a34c4641198ade795",
+    ("three_cell", "hw"): "f6e447a045805bbe2a4996173e3eed4d79bffc366649c3dec7ac215cd57d720d",
+    ("unit", "circle"): "f7a13ce65b2205513c174f02313cec2bbb1a4a7a8fb12a28143c31eb24a89793",
+}
+
+
+@pytest.mark.parametrize("name, curve", sorted(PINNED_LABELS))
+def test_labels_match_pinned_hashes(metrics, name, curve):
+    _, a0, a1, _ = _facet_data(metrics[name])
+    c = hardy_weinberg_curve() if curve == "hw" else circle_curve()
+    s = sample_curve(c, 201)
+    labels = classify_grid(128, a0, a1, s.u1, s.u2, 1e-9)
+    assert labels.dtype == np.int64 and labels.shape == (128, 128)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == PINNED_LABELS[name, curve]
 
 
 def test_numpy_path_alone_is_deterministic(metrics):
     a0, a1, s1, s2 = setup_arrays(metrics, "three_cell", 101)
-    one = classify_grid_numpy(64, a0, a1, s1, s2, 1e-9)
-    two = classify_grid_numpy(64, a0, a1, s1, s2, 1e-9)
+    one = classify_grid(64, a0, a1, s1, s2, 1e-9)
+    two = classify_grid(64, a0, a1, s1, s2, 1e-9)
     assert np.array_equal(one, two)
 
 
 def test_outside_pixels_marked(metrics):
     a0, a1, s1, s2 = setup_arrays(metrics, "unit", 51)
-    labels = classify_grid_numpy(32, a0, a1, s1, s2, 1e-9)
+    labels = classify_grid(32, a0, a1, s1, s2, 1e-9)
     # bottom corners of the box are inside; top corners far outside
     assert labels[-1, 0] == OUTSIDE
     assert labels[-1, -1] == OUTSIDE
@@ -60,14 +62,14 @@ def test_duplicate_samples_tie_everywhere(metrics):
     _, a0, a1, _ = _facet_data(metrics["unit"])
     s1 = np.array([0.25, 0.25])
     s2 = np.array([0.5, 0.5])
-    labels = classify_grid_numpy(16, a0, a1, s1, s2, 1e-9)
+    labels = classify_grid(16, a0, a1, s1, s2, 1e-9)
     inside = labels != OUTSIDE
     assert np.all(labels[inside] == TIE)
 
 
 def test_single_sample_owns_the_simplex(metrics):
     _, a0, a1, _ = _facet_data(metrics["line"])
-    labels = classify_grid_numpy(16, a0, a1, np.array([0.25]), np.array([0.5]),
+    labels = classify_grid(16, a0, a1, np.array([0.25]), np.array([0.5]),
                                  1e-9)
     inside = labels != OUTSIDE
     assert inside.any()
@@ -77,7 +79,7 @@ def test_single_sample_owns_the_simplex(metrics):
 def test_points_agree_with_grid_pixels(metrics):
     a0, a1, s1, s2 = setup_arrays(metrics, "two_cell", 101)
     res = 64
-    labels = classify_grid_numpy(res, a0, a1, s1, s2, 1e-9)
+    labels = classify_grid(res, a0, a1, s1, s2, 1e-9)
     rng = np.random.default_rng(3)
     for _ in range(50):
         iy = int(rng.integers(0, res))
@@ -87,19 +89,9 @@ def test_points_agree_with_grid_pixels(metrics):
         py = (iy + 0.5) * SQRT3_2 / res
         t2 = py * 2.0 / math.sqrt(3.0)
         t1 = (ix + 0.5) / res - 0.5 * t2
-        lab, best, second = classify_points_numpy(t1, t2, a0, a1, s1, s2, 1e-9)
+        lab, best, second = classify_points(t1, t2, a0, a1, s1, s2, 1e-9)
         assert lab[0] == labels[iy, ix]
         assert best[0] <= second[0]
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_thread_cap_does_not_change_labels(metrics, monkeypatch):
-    a0, a1, s1, s2 = setup_arrays(metrics, "unit", 101)
-    monkeypatch.delenv("POLYVOR_NO_NUMBA", raising=False)
-    base = classify_grid(64, a0, a1, s1, s2, 1e-9)
-    monkeypatch.setenv("POLYVOR_THREADS", "1")
-    capped = classify_grid(64, a0, a1, s1, s2, 1e-9)
-    assert np.array_equal(base, capped)
 
 
 def test_tie_band_appears_between_two_samples(metrics):
@@ -107,7 +99,7 @@ def test_tie_band_appears_between_two_samples(metrics):
     _, a0, a1, _ = _facet_data(metrics["unit"])
     s1 = np.array([0.2, 0.6])
     s2 = np.array([0.2, 0.2])
-    labels = classify_grid_numpy(64, a0, a1, s1, s2, 0.05)
+    labels = classify_grid(64, a0, a1, s1, s2, 0.05)
     inside = labels != OUTSIDE
     assert (labels[inside] == TIE).any()
     assert (labels[inside] == 0).any()

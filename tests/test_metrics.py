@@ -78,6 +78,10 @@ def test_errors_are_metric_errors():
     for bad, err in (
         ([[0, -1], [-1, 0]], NonpositiveOffDiagonal),
         ([[0, 1], [2, 0]], NotSymmetric),
+        ([[0, "1/0"], ["1/0", 0]], MetricError),
+        ([[0, float("inf")], [float("inf"), 0]], MetricError),
+        ([[0, float("nan")], [float("nan"), 0]], MetricError),
+        ([[0, None], [None, 0]], MetricError),
     ):
         with pytest.raises(err):
             validate_metric(bad)

@@ -6,6 +6,7 @@ the strongest check we have short of an external LP solver.  The gauge LP
 (minimal generator combination) gives a second, geometry-flavored oracle.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,11 @@ def test_affine_point_validation():
         AffinePoint((F(3, 2), F(-1, 2), F(0)), chart="simplex")
     p = AffinePoint((F(3, 2), F(-1, 2), F(0)), chart="hyperplane")
     assert p.dim == 2 and p.is_exact
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AffinePoint((bad, 0.5, 0.5), chart="hyperplane")
+        with pytest.raises(ValueError):
+            DirectionVector((bad, -0.5, 0.5))
 
 
 def test_point_difference_is_direction():

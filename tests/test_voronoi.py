@@ -131,6 +131,16 @@ def test_raster_is_deterministic(metrics):
         raster_voronoi(sample, metrics["unit"], 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+def test_raster_parameters_checked_at_the_api(metrics, bad):
+    sample = sample_curve(HW, 11)
+    with pytest.raises(ValueError):
+        raster_voronoi(sample, metrics["unit"], 8, tie_tolerance=bad)
+    raster = raster_voronoi(sample, metrics["unit"], 8)
+    with pytest.raises(ValueError):
+        raster.full_dim_labels(threshold=bad)
+
+
 def test_raster_pixel_counts_account_for_all_pixels(metrics):
     sample = sample_curve(HW, 51)
     raster = raster_voronoi(sample, metrics["three_cell"], 64)
