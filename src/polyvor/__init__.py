@@ -24,7 +24,6 @@ from polyvor.curve import (
     hardy_weinberg_curve,
     hw_tangency_points,
     hw_tangent,
-    planar_tangency_points,
     veronese_curve,
     veronese_point,
     veronese_tangent,
@@ -44,14 +43,9 @@ from polyvor.transport import (
     DimensionMismatch,
     DirectionVector,
     Infeasible,
-    TooLarge,
     TransportPlan,
     as_affine_point,
-    as_direction,
-    brute_force_distance,
-    exact_direction,
     exact_point,
-    gauge_distance,
     wasserstein_distance,
 )
 from polyvor.voronoi import (
@@ -62,8 +56,6 @@ from polyvor.voronoi import (
     classify,
     dimension_certificate,
     exact_gauge,
-    face_cone_decomposition_check,
-    half_ball_test,
     raster_voronoi,
     sample_curve,
 )

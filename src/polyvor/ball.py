@@ -28,19 +28,18 @@ from polyvor.transport import (
 )
 
 
+def _generator(d: FiniteMetric, i: int, j: int) -> DirectionVector:
+    """The generator (e_i - e_j)/d_ij, exact."""
+    coords = [Fraction(0)] * d.n_states
+    coords[i] = 1 / d[i, j]
+    coords[j] = -1 / d[i, j]
+    return DirectionVector(tuple(coords))
+
+
 def ball_generators(d: FiniteMetric):
     """Generators (e_i - e_j)/d_ij for all ordered pairs i != j."""
     k = d.n_states
-    gens = []
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            coords = [Fraction(0)] * k
-            coords[i] = 1 / d[i, j]
-            coords[j] = -1 / d[i, j]
-            gens.append(DirectionVector(tuple(coords)))
-    return gens
+    return [_generator(d, i, j) for i in range(k) for j in range(k) if i != j]
 
 
 def _orient(o, a, b):
@@ -214,14 +213,8 @@ def edge_directions(d: FiniteMetric):
     if d.n != 2:
         raise DimensionMismatch("edge direction classes are defined for n = 2")
 
-    def gen(i, j):
-        coords = [Fraction(0)] * 3
-        coords[i] = 1 / d[i, j]
-        coords[j] = -1 / d[i, j]
-        return DirectionVector(tuple(coords))
-
     return [
-        gen(0, 1) - gen(0, 2),
-        gen(0, 2) - gen(1, 2),
-        gen(0, 1) - gen(2, 1),
+        _generator(d, 0, 1) - _generator(d, 0, 2),
+        _generator(d, 0, 2) - _generator(d, 1, 2),
+        _generator(d, 0, 1) - _generator(d, 2, 1),
     ]

@@ -13,13 +13,13 @@ import json
 import sys
 from fractions import Fraction
 
-from polyvor import _kernels, render
+from polyvor import _kernels, metrics, render
 from polyvor._chart import plot_xy
-from polyvor.ball import build_ball, facet_count_bound
+from polyvor.ball import build_ball
 from polyvor.counting import count_full_dim_cells_hw, full_dim_upper_bound
 from polyvor.curve import circle_curve, hardy_weinberg_curve, hw_tangency_points, veronese_point
 from polyvor.metrics import MetricError, validate_metric
-from polyvor.transport import DimensionMismatch, Infeasible, TooLarge, wasserstein_distance
+from polyvor.transport import wasserstein_distance
 from polyvor.voronoi import raster_voronoi, sample_curve
 
 
@@ -166,10 +166,11 @@ def cmd_check(args):
     item("census-counts", [cs.count for cs in census] == [1, 2, 3],
          f"counts {[cs.count for cs in census]}")
 
-    from polyvor.metrics import random_metric
     agree = 0
     for seed in range(300):
-        m = random_metric(3, seed)
+        # looked up on the module at call time, so a wrapper installed on
+        # polyvor.metrics (as perfbench's tracer does) sees these calls
+        m = metrics.random_metric(3, seed)
         cs = count_full_dim_cells_hw(m)
         formula = 1 + (m[0, 1] > m[0, 2]) + (m[1, 2] > m[0, 2])
         agree += cs.count == formula == len(hw_tangency_points(m).entries)
@@ -247,8 +248,7 @@ def main(argv=None) -> int:
     try:
         out = args.fn(args)
         text = json.dumps(out, indent=2, allow_nan=False)
-    except (MetricError, DimensionMismatch, TooLarge, Infeasible, ValueError,
-            ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
                   sys.stdout)
         print()

@@ -98,12 +98,9 @@ def veronese_curve(n: int) -> ParametricCurve:
                            degree_dual=2 if n == 2 else None)
 
 
-def circle_curve(center=None, radius: float = 0.2) -> ParametricCurve:
-    """Plotting-chart circle, p |-> angle 2*pi*p; a closed conic curve."""
-    if center is None:
-        cx, cy = 0.5, _chart.HALF_SQRT3 / 3.0
-    else:
-        cx, cy = float(center[0]), float(center[1])
+def circle_curve(radius: float = 0.2) -> ParametricCurve:
+    """Plotting-chart circle about the centroid, p |-> angle 2*pi*p; a closed conic."""
+    cx, cy = 0.5, _chart.HALF_SQRT3 / 3.0
     rho = float(radius)
     if rho <= 0:
         raise ValueError("radius must be positive")
@@ -158,61 +155,3 @@ def hw_tangency_points(d: FiniteMetric) -> TangencyReport:
     entries.sort(key=lambda e: e.p_star)
     return TangencyReport(tuple(entries), tuple(degenerate))
 
-
-def planar_tangency_points(curve: ParametricCurve, direction, bracket_count: int = 256):
-    """Parameters where the curve's tangent is parallel to ``direction``.
-
-    Numeric counterpart of ``hw_tangency_points``: sign changes of the
-    plotting-chart cross product are bracketed on a uniform grid and
-    bisected to 1e-12.  Open curves report interior parameters only; on
-    closed curves (endpoints coincide) a tangency at the seam is reported
-    once, as p = 0.
-    """
-    if bracket_count < 2:
-        raise ValueError("bracket_count must be at least 2")
-    if isinstance(direction, DirectionVector):
-        dx, dy = _chart.plot_xy(direction.coords)
-    else:
-        dx, dy = _chart.plot_xy(tuple(direction))
-
-    def g(p):
-        tx, ty = _chart.plot_xy(curve.tangent(p).coords)
-        return tx * dy - ty * dx
-
-    grid = [i / bracket_count for i in range(bracket_count + 1)]
-    vals = [g(p) for p in grid]
-    roots = []
-    for i in range(bracket_count):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            while b - a > 1e-12:
-                mid = 0.5 * (a + b)
-                fm = g(mid)
-                if fm == 0.0:
-                    a = b = mid
-                elif fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(1.0)
-
-    p0, p1 = curve.eval(0), curve.eval(1)
-    x0, y0 = _chart.plot_xy(p0.coords)
-    x1, y1 = _chart.plot_xy(p1.coords)
-    closed = math.hypot(x1 - x0, y1 - y0) < 1e-9
-
-    cleaned = []
-    for r in sorted(roots):
-        if closed and r > 1.0 - 1e-9:
-            r = 0.0
-        if not closed and (r < 1e-9 or r > 1.0 - 1e-9):
-            continue
-        if all(abs(r - s) > 1e-9 for s in cleaned):
-            cleaned.append(r)
-    return sorted(cleaned)

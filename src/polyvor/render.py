@@ -28,30 +28,33 @@ def raster_ppm(raster, path):
         fh.write(img[::-1].tobytes())  # row 0 is the bottom of the chart
 
 
+SVG_SIZE = 640        # image width in px
+SVG_MARGIN = 0.08     # plotting-chart margin around the triangle
+CURVE_POINTS = 400    # polyline vertices of an overlaid curve
+
+
 class _Svg:
     """Minimal SVG writer on the plotting chart (y flipped for screen)."""
 
-    def __init__(self, size=640, margin=0.08):
-        self.size = size
-        self.margin = margin
-        self.scale = size / (1.0 + 2 * margin)
-        self.height = (HALF_SQRT3 + 2 * margin) * self.scale
+    def __init__(self):
+        self.scale = SVG_SIZE / (1.0 + 2 * SVG_MARGIN)
+        self.height = (HALF_SQRT3 + 2 * SVG_MARGIN) * self.scale
         self.parts = []
 
     def xy(self, p):
         x, y = p
-        return ((x + self.margin) * self.scale,
-                (HALF_SQRT3 + self.margin - y) * self.scale)
+        return ((x + SVG_MARGIN) * self.scale,
+                (HALF_SQRT3 + SVG_MARGIN - y) * self.scale)
 
     def polygon(self, pts, stroke="#333", fill="none", width=1.5):
         s = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(self.xy, pts))
         self.parts.append(f'<polygon points="{s}" fill="{fill}" '
                           f'stroke="{stroke}" stroke-width="{width}"/>')
 
-    def polyline(self, pts, stroke="#1f6fb2", width=2.0):
+    def polyline(self, pts):
         s = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(self.xy, pts))
         self.parts.append(f'<polyline points="{s}" fill="none" '
-                          f'stroke="{stroke}" stroke-width="{width}"/>')
+                          'stroke="#1f6fb2" stroke-width="2.0"/>')
 
     def dot(self, p, r=4.0, fill="#c33"):
         x, y = self.xy(p)
@@ -61,16 +64,16 @@ class _Svg:
         body = "\n".join(self.parts)
         with open(path, "w") as fh:
             fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
-                     f'width="{self.size:.0f}" height="{self.height:.0f}">\n'
+                     f'width="{SVG_SIZE}" height="{self.height:.0f}">\n'
                      f"{body}\n</svg>\n")
 
 
 TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.5, HALF_SQRT3)]
 
 
-def ball_svg(ball, path, size=640):
+def ball_svg(ball, path):
     """Ball hull with its generator points inside the simplex triangle."""
-    svg = _Svg(size)
+    svg = _Svg()
     svg.polygon(TRIANGLE)
     hull = [plot_xy(v.coords) for v in ball.hull_vertices]
     if hull:
@@ -82,13 +85,13 @@ def ball_svg(ball, path, size=640):
     svg.write(path)
 
 
-def overlay_svg(path, curve=None, ball=None, marks=(), curve_samples=400, size=640):
+def overlay_svg(path, curve=None, ball=None, marks=()):
     """Simplex triangle + curve + tangency marks + an example ball."""
-    svg = _Svg(size)
+    svg = _Svg()
     svg.polygon(TRIANGLE)
     if curve is not None:
-        pts = [plot_xy(curve.eval(i / (curve_samples - 1)).coords)
-               for i in range(curve_samples)]
+        pts = [plot_xy(curve.eval(i / (CURVE_POINTS - 1)).coords)
+               for i in range(CURVE_POINTS)]
         svg.polyline(pts)
     if ball is not None and ball.hull_vertices:
         svg.polygon([plot_xy(v.coords) for v in ball.hull_vertices],

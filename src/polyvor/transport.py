@@ -1,22 +1,18 @@
-"""Wasserstein distances on the hyperplane sum(t) = 1.
+"""Points of the hyperplane sum(t) = 1 and Wasserstein distances on it.
 
-``wasserstein_distance`` solves the transportation LP with a dense network
-simplex that runs unchanged on Fractions (exact path) or floats.  For
-points allowed to leave the simplex, ``gauge_distance`` evaluates the same
-metric as the gauge of the polyhedral unit ball, via an exact two-phase
-simplex.  ``brute_force_distance`` enumerates every spanning tree of the
-complete bipartite graph — hopeless asymptotically, which is exactly what
-makes it an independent oracle for small instances.
+``AffinePoint`` and ``DirectionVector`` hold exact (Fraction) or float
+coordinates.  ``wasserstein_distance`` solves the transportation LP with a
+dense network simplex that runs unchanged on Fractions (exact path) or
+floats.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
+SUM_TOL = 1e-9     # float-path tolerance on sum(t) = 1 and sum(v) = 0
 FEAS_TOL = 1e-12   # float-path feasibility tolerance
 OPT_TOL = 1e-9     # float-path optimality tolerance
 
@@ -25,24 +21,18 @@ class DimensionMismatch(ValueError):
     """Operands live in simplices of different dimension."""
 
 
-class TooLarge(ValueError):
-    """Instance too big for exhaustive enumeration."""
-
-
 class Infeasible(ValueError):
-    """Target vector is not in the cone/span of the generators."""
+    """The LP has no feasible solution, e.g. flow marginals that miss the endpoints."""
 
 
 def _is_exact(values) -> bool:
     return all(not isinstance(v, float) for v in values)
 
 
-def _coerce_coords(seq, exact=None):
+def _coerce_coords(seq):
     """Normalize a coordinate sequence to all-Fraction or all-float."""
     vals = list(seq)
-    if exact is None:
-        exact = _is_exact(vals)
-    if exact:
+    if _is_exact(vals):
         return tuple(Fraction(v) for v in vals)
     floats = tuple(float(v) for v in vals)
     if not all(math.isfinite(v) for v in floats):
@@ -67,17 +57,11 @@ class AffinePoint:
         object.__setattr__(self, "coords", _coerce_coords(self.coords))
         if self.chart not in ("simplex", "hyperplane"):
             raise ValueError(f"unknown chart {self.chart!r}")
-        total = sum(self.coords)
-        if self.is_exact:
-            if total != 1:
-                raise ValueError("coordinates must sum to 1")
-            if self.chart == "simplex" and any(c < 0 for c in self.coords):
-                raise ValueError("simplex-chart coordinates must be >= 0")
-        else:
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError("coordinates must sum to 1")
-            if self.chart == "simplex" and any(c < -FEAS_TOL for c in self.coords):
-                raise ValueError("simplex-chart coordinates must be >= 0")
+        sum_tol, neg_tol = (0, 0) if self.is_exact else (SUM_TOL, FEAS_TOL)
+        if abs(sum(self.coords) - 1) > sum_tol:
+            raise ValueError("coordinates must sum to 1")
+        if self.chart == "simplex" and any(c < -neg_tol for c in self.coords):
+            raise ValueError("simplex-chart coordinates must be >= 0")
 
     @property
     def dim(self) -> int:
@@ -109,11 +93,7 @@ class DirectionVector:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _coerce_coords(self.coords))
-        total = sum(self.coords)
-        if self.is_exact:
-            if total != 0:
-                raise ValueError("direction coordinates must sum to 0")
-        elif abs(total) > 1e-9:
+        if abs(sum(self.coords)) > (0 if self.is_exact else SUM_TOL):
             raise ValueError("direction coordinates must sum to 0")
 
     @property
@@ -141,34 +121,18 @@ def as_affine_point(obj, chart="simplex") -> AffinePoint:
     return AffinePoint(tuple(obj), chart=chart)
 
 
-def as_direction(obj) -> DirectionVector:
-    if isinstance(obj, DirectionVector):
-        return obj
-    return DirectionVector(tuple(obj))
-
-
-def exact_point(p, chart=None) -> AffinePoint:
+def exact_point(p) -> AffinePoint:
     """Exact-rational copy of a point; the last coordinate absorbs float slack.
 
     Float coordinates are converted to their exact binary values, then the
     last coordinate is recomputed as 1 minus the rest so the affine
     constraint holds exactly (a perturbation below 1e-9 by construction).
     """
-    p = as_affine_point(p) if not isinstance(p, AffinePoint) else p
+    p = as_affine_point(p)
     if p.is_exact:
-        return p if chart is None else AffinePoint(p.coords, chart=chart)
+        return p
     head = [Fraction(c) for c in p.coords[:-1]]
-    coords = tuple(head) + (1 - sum(head),)
-    return AffinePoint(coords, chart=chart or "hyperplane")
-
-
-def exact_direction(v) -> DirectionVector:
-    """Exact-rational copy of a vector; the last coordinate absorbs float slack."""
-    v = as_direction(v)
-    if v.is_exact:
-        return v
-    head = [Fraction(c) for c in v.coords[:-1]]
-    return DirectionVector(tuple(head) + (-sum(head),))
+    return AffinePoint(tuple(head) + (1 - sum(head),), chart="hyperplane")
 
 
 @dataclass(frozen=True)
@@ -343,202 +307,3 @@ def wasserstein_distance(mu, nu, d, *, exact=True):
         dst = AffinePoint(tuple(dem))
     plan = TransportPlan(tuple(tuple(r) for r in flow), src, dst)
     return total, plan
-
-
-# ---------------------------------------------------------------------------
-# gauge of a polyhedral ball, as an exact LP
-
-
-def _pivot(T, basis, r, c):
-    piv = T[r][c]
-    T[r] = [x / piv for x in T[r]]
-    for rr in range(len(T)):
-        if rr != r and T[rr][c] != 0:
-            f = T[rr][c]
-            T[rr] = [x - f * y for x, y in zip(T[rr], T[r])]
-    basis[r] = c
-
-
-def _simplex_min(T, basis, costs):
-    """Minimize costs'x over the tableau rows; Bland's rule, exact."""
-    m = len(T[0]) - 1
-    while True:
-        lam = [costs[basis[r]] for r in range(len(T))]
-        entering = None
-        for c in range(m):
-            if costs[c] is None:
-                continue
-            red = costs[c] - sum(l * T[r][c] for r, l in enumerate(lam))
-            if red < 0:
-                entering = c
-                break
-        if entering is None:
-            return
-        ratio, row = None, None
-        for r in range(len(T)):
-            if T[r][entering] > 0:
-                q = T[r][-1] / T[r][entering]
-                if ratio is None or q < ratio or (q == ratio and basis[r] < basis[row]):
-                    ratio, row = q, r
-        if row is None:
-            raise RuntimeError("unbounded LP")
-        _pivot(T, basis, row, entering)
-
-
-def gauge_distance(x, y, generators) -> Fraction:
-    """Distance from x to y as the gauge of conv(generators) at y - x.
-
-    Exact: solves  min sum(lambda)  s.t.  G lambda = y - x, lambda >= 0
-    by a two-phase simplex on Fractions.  Valid anywhere on the hyperplane,
-    in particular outside the simplex.  Raises Infeasible when y - x is not
-    in the span of the generators.  For the distance to be symmetric the
-    generator set should be centrally symmetric (not enforced here).
-    """
-    x = exact_point(as_affine_point(x, chart="hyperplane"))
-    y = exact_point(as_affine_point(y, chart="hyperplane"))
-    if len(x.coords) != len(y.coords):
-        raise DimensionMismatch("points live in different simplices")
-    gens = [exact_direction(g) for g in generators]
-    if not gens:
-        raise Infeasible("no generators")
-    if any(len(g.coords) != len(x.coords) for g in gens):
-        raise DimensionMismatch("generator dimension does not match the points")
-
-    w = (y - x).coords[:-1]  # rational chart: sum-zero, last coord redundant
-    n = len(w)
-    m = len(gens)
-    if all(v == 0 for v in w):
-        return Fraction(0)
-
-    # phase 1 tableau with artificial columns; rows flipped to keep rhs >= 0
-    T = []
-    for r in range(n):
-        row = [g.coords[r] for g in gens]
-        b = w[r]
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-        T.append(row + [Fraction(int(i == r)) for i in range(n)] + [b])
-    basis = [m + r for r in range(n)]
-
-    phase1 = [Fraction(0)] * m + [Fraction(1)] * n
-    _simplex_min(T, basis, phase1)
-    if sum(T[r][-1] for r in range(n) if basis[r] >= m) != 0:
-        raise Infeasible("target vector is outside the span of the generators")
-
-    # drive zero-level artificials out of the basis; drop redundant rows
-    for r in range(len(T) - 1, -1, -1):
-        if basis[r] >= m:
-            col = next((c for c in range(m) if T[r][c] != 0), None)
-            if col is None:
-                del T[r]
-                del basis[r]
-            else:
-                _pivot(T, basis, r, col)
-
-    phase2 = [Fraction(1)] * m + [None] * n  # artificials barred from entering
-    _simplex_min(T, basis, phase2)
-    return sum(T[r][-1] for r in range(len(T)))
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-@lru_cache(maxsize=None)
-def _tree_orders(k):
-    """Spanning trees of K_{k,k} with precomputed leaf-elimination orders.
-
-    Each tree is a tuple of (edge_index, leaf_node) steps; edge e = (e // k,
-    e % k), nodes 0..k-1 are rows and k..2k-1 are columns.  Cached per k:
-    enumeration is the expensive part, reused across instances.
-    """
-    n_nodes = 2 * k
-    trees = []
-    for combo in itertools.combinations(range(k * k), n_nodes - 1):
-        parent = list(range(n_nodes))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        acyclic = True
-        for e in combo:
-            ra, rb = find(e // k), find(k + e % k)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if not acyclic:
-            continue
-
-        deg = [0] * n_nodes
-        inc = [[] for _ in range(n_nodes)]
-        for e in combo:
-            i, j = e // k, k + e % k
-            deg[i] += 1
-            deg[j] += 1
-            inc[i].append(e)
-            inc[j].append(e)
-        used = set()
-        order = []
-        leaves = [v for v in range(n_nodes) if deg[v] == 1]
-        while leaves:
-            v = leaves.pop()
-            if deg[v] != 1:    # consumed from the other end already
-                continue
-            e = next(x for x in inc[v] if x not in used)
-            used.add(e)
-            order.append((e, v))
-            u = (k + e % k) if v == e // k else e // k
-            deg[v] -= 1
-            deg[u] -= 1
-            if deg[u] == 1:
-                leaves.append(u)
-        trees.append(tuple(order))
-    return tuple(trees)
-
-
-def brute_force_distance(mu, nu, d) -> Fraction:
-    """Exact transport cost by trying every spanning tree of K_{k,k}.
-
-    Every vertex of the transportation polytope is the flow of some
-    spanning tree, so the minimum over feasible trees is the distance.
-    Kept deliberately naive as an independent check on the simplex;
-    refuses instances with n > 4.
-    """
-    mu = exact_point(as_affine_point(mu))
-    nu = exact_point(as_affine_point(nu))
-    k = d.n_states
-    if len(mu.coords) != k or len(nu.coords) != k:
-        raise DimensionMismatch("points and metric must share one state set")
-    if d.n > 4:
-        raise TooLarge("brute force is limited to n <= 4")
-
-    denom = math.lcm(*[c.denominator for c in mu.coords + nu.coords])
-    res0 = [int(c * denom) for c in mu.coords] + [int(c * denom) for c in nu.coords]
-    cden = math.lcm(*[d[i, j].denominator for i in range(k) for j in range(k) if i != j])
-    cint = [[int(d[i, j] * cden) for j in range(k)] for i in range(k)]
-
-    best = None
-    for order in _tree_orders(k):
-        res = res0.copy()
-        total = 0
-        feasible = True
-        for e, leaf in order:
-            i, j = e // k, e % k
-            f = res[leaf]
-            if f < 0:
-                feasible = False
-                break
-            other = (k + j) if leaf == i else i
-            res[leaf] = 0
-            res[other] -= f
-            total += cint[i][j] * f
-        if feasible and (best is None or total < best):
-            best = total
-    if best is None:
-        raise Infeasible("no feasible tree flow (unbalanced marginals?)")
-    return Fraction(best, cden * denom)

@@ -22,7 +22,7 @@ import numpy as np
 
 from polyvor import _kernels
 from polyvor._chart import PLOT_BOX, chart2, plot_to_point, plot_xy
-from polyvor.ball import _hull_ccw, ball_generators, face_cone_membership
+from polyvor.ball import _hull_ccw, ball_generators
 from polyvor.curve import ParametricCurve
 from polyvor.metrics import FiniteMetric
 from polyvor.transport import (
@@ -36,6 +36,7 @@ TIE = _kernels.TIE
 
 DEFAULT_TIE_TOL = 1e-9
 FULL_DIM_THRESHOLD = 0.001
+WITNESS_OFFSETS = 24   # most halvings of the certificate's witness offset
 
 
 @lru_cache(maxsize=None)
@@ -212,41 +213,6 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     return VoronoiRaster(resolution, labels, PLOT_BOX, tie_tolerance, sample)
 
 
-def half_ball_test(point, normal, curve: ParametricCurve, r: float = 0.05,
-                   sample_density: int = 2048) -> bool:
-    """Does the curve stay on one side of the line through ``point``?
-
-    Checks the sign of <normal, c - point> in the plotting chart over all
-    curve points sampled at ``sample_density`` parameters that fall within
-    Euclidean distance r of the point (the point itself excluded).  True
-    for the tangent-line normal at a tangency; False where the curve
-    crosses the line.
-    """
-    p = as_affine_point(point, chart="hyperplane")
-    x0, y0 = plot_xy(p.coords)
-    nrm = tuple(normal.coords) if hasattr(normal, "coords") else tuple(normal)
-    if len(nrm) == 3:
-        n0, n1 = plot_xy(nrm)
-    else:
-        n0, n1 = float(nrm[0]), float(nrm[1])
-
-    ps = np.linspace(0.0, 1.0, sample_density)
-    xs = np.empty(sample_density)
-    ys = np.empty(sample_density)
-    for i, t in enumerate(ps):
-        cx, cy = plot_xy(curve.eval(float(t)).coords)
-        xs[i] = cx
-        ys[i] = cy
-    dx = xs - x0
-    dy = ys - y0
-    r2 = dx * dx + dy * dy
-    near = (r2 > 1e-18) & (r2 < r * r)
-    if not near.any():
-        return True
-    s = n0 * dx[near] + n1 * dy[near]
-    return bool(np.all(s > 0.0) or np.all(s < 0.0))
-
-
 @dataclass(frozen=True)
 class NotFound:
     """Outcome of an exhausted witness search: no full-dimension evidence.
@@ -290,8 +256,7 @@ def _unit_ball_edges_plot(d: FiniteMetric):
 
 
 def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
-                          tie_tolerance: float = DEFAULT_TIE_TOL,
-                          search_budget: int = 24):
+                          tie_tolerance: float = DEFAULT_TIE_TOL):
     """Search for a full-dimension certificate at a sample point.
 
     Witness candidates walk away from x along the perpendiculars of the
@@ -334,7 +299,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
     floor = 4.0 * sample.spacing()
     ts = []
     t = 0.25
-    while t > floor and len(ts) < search_budget:
+    while t > floor and len(ts) < WITNESS_OFFSETS:
         ts.append(t)
         t *= 0.5
     ts.append(max(floor, 1e-6))
@@ -377,17 +342,3 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
                     return DimensionCertificate(x_ex, y_ex, eps, 1, 2)
     return NotFound(trials)
 
-
-def face_cone_decomposition_check(center, points, ball) -> bool:
-    """Every point must land in exactly one face cone of the ball at center.
-
-    The empty face (cone {center}) participates, so the cones partition
-    the plane and the check is a hard exactly-one count per point.
-    """
-    x = exact_point(as_affine_point(center, chart="hyperplane"))
-    faces = [None] + list(ball.faces)
-    for q in points:
-        hits = sum(1 for f in faces if face_cone_membership(x, f, q))
-        if hits != 1:
-            return False
-    return True

@@ -6,7 +6,6 @@ stays visible in the summary with its measured numbers.
 """
 
 import itertools
-import math
 import time
 from fractions import Fraction
 
@@ -18,14 +17,11 @@ from polyvor import (
     DimensionCertificate,
     NotFound,
     ball_generators,
-    brute_force_distance,
     build_ball,
     circle_curve,
     count_full_dim_cells_hw,
     dimension_certificate,
-    face_cone_decomposition_check,
     full_dim_upper_bound,
-    gauge_distance,
     hardy_weinberg_curve,
     hw_tangency_points,
     random_metric,
@@ -36,7 +32,9 @@ from polyvor import (
     wasserstein_distance,
 )
 from polyvor.ball import face_cone_membership
-from polyvor.voronoi import _facet_data, exact_gauge
+from polyvor.voronoi import _facet_data
+
+from oracles import brute_force_distance, face_cone_decomposition_check, gauge_distance
 
 HW = hardy_weinberg_curve()
 

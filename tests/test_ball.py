@@ -16,13 +16,13 @@ from polyvor import (
     edge_directions,
     exact_gauge,
     face_cone_membership,
-    face_cone_decomposition_check,
     facet_count_bound,
-    validate_metric,
 )
 from polyvor._chart import chart2
 from polyvor.metrics import random_metric
-from polyvor.transport import AffinePoint, as_direction
+from polyvor.transport import AffinePoint
+
+from oracles import as_direction, face_cone_decomposition_check
 
 F = Fraction
 CENTROID = (F(1, 3), F(1, 3), F(1, 3))

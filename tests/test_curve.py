@@ -17,13 +17,12 @@ from polyvor import (
     hardy_weinberg_curve,
     hw_tangency_points,
     hw_tangent,
-    planar_tangency_points,
     validate_metric,
     veronese_curve,
     veronese_point,
-    veronese_tangent,
 )
-from polyvor.metrics import random_metric
+
+from oracles import planar_tangency_points
 
 F = Fraction
 

@@ -17,19 +17,15 @@ from polyvor import (
     DimensionMismatch,
     DirectionVector,
     Infeasible,
-    TooLarge,
     TransportPlan,
     as_affine_point,
-    as_direction,
-    brute_force_distance,
-    exact_direction,
     exact_point,
-    gauge_distance,
-    validate_metric,
     wasserstein_distance,
 )
 from polyvor.ball import ball_generators
 from polyvor.metrics import random_metric
+
+from oracles import TooLarge, as_direction, brute_force_distance, exact_direction, gauge_distance
 
 F = Fraction
 
@@ -60,6 +56,18 @@ def test_affine_point_validation():
             AffinePoint((bad, 0.5, 0.5), chart="hyperplane")
         with pytest.raises(ValueError):
             DirectionVector((bad, -0.5, 0.5))
+    # float tolerance: 1e-9 on the sum, FEAS_TOL = 1e-12 on nonnegativity
+    AffinePoint((0.5, 0.5, 5e-10))
+    AffinePoint((0.5, 0.5 + 1e-13, -1e-13))
+    DirectionVector((0.5, -0.5, 5e-10))
+    tiny = F(1, 10 ** 30)
+    for bad in ((0.5, 0.5, 2e-9), (0.5, 0.5 + 1e-11, -1e-11),
+                (F(1, 2), F(1, 2), tiny), (F(1, 2), F(1, 2) + tiny, -tiny)):
+        with pytest.raises(ValueError):
+            AffinePoint(bad)
+    for bad in ((0.5, -0.5, 2e-9), (F(1, 2), F(-1, 2), tiny)):
+        with pytest.raises(ValueError):
+            DirectionVector(bad)
 
 
 def test_point_difference_is_direction():

@@ -15,9 +15,6 @@ from polyvor import (
     circle_curve,
     classify,
     dimension_certificate,
-    face_cone_decomposition_check,
-    gauge_distance,
-    half_ball_test,
     hardy_weinberg_curve,
     hw_tangency_points,
     random_metric,
@@ -26,6 +23,8 @@ from polyvor import (
 )
 from polyvor.voronoi import exact_gauge
 from polyvor._kernels import OUTSIDE, TIE
+
+from oracles import face_cone_decomposition_check, gauge_distance, half_ball_test
 
 HW = hardy_weinberg_curve()
 
