@@ -1,9 +1,10 @@
 """Polyhedral Wasserstein balls and their face structure.
 
 The ball of radius r around c is the convex hull of the 2*C(n+1,2) points
-c + r*(e_i - e_j)/d_ij.  For n = 2 the hull is computed exactly (monotone
-chain on Fraction coordinates in the rational chart) and always has 4 or 6
-vertices; for higher n only the generators are stored.
+c + r*(e_i - e_j)/d_ij.  For n = 2 the hull of the unit ball is computed
+once per metric, exactly (monotone chain on Fraction coordinates in the
+rational chart), and always has 4 or 6 vertices; every ball is a scaled
+translate of it.  For higher n only the generators are stored.
 
 Face cones: for a face F of the ball centered at x, C_F(x) is the open
 cone of points seen from x through the relative interior of the antipodal
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from polyvor._chart import chart2
 from polyvor.metrics import FiniteMetric
@@ -68,6 +70,18 @@ def _hull_ccw(points):
     return lower[:-1] + upper[:-1]
 
 
+@lru_cache(maxsize=None)
+def unit_hull(d: FiniteMetric) -> tuple:
+    """Generators at the vertices of the unit ball of a planar (n = 2) metric.
+
+    Counterclockwise, computed once per metric.  Every ball of ``d`` is
+    c + r*g over this sequence and the gauge's facet table follows it, so
+    vertex, edge and facet indices agree everywhere.
+    """
+    by_chart = {chart2(g.coords): g for g in ball_generators(d)}
+    return tuple(by_chart[q] for q in _hull_ccw(list(by_chart)))
+
+
 @dataclass(frozen=True)
 class Face:
     """A proper face of a planar ball: a vertex (dim 0) or an edge (dim 1).
@@ -116,38 +130,20 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     if d.n != 2:
         return PolyBall(c, r, gens, (), (), ())
 
-    by_chart = {}
-    for g in gens:
-        p = c.translate(g, r)
-        by_chart[chart2(p.coords)] = p
-    hull2 = _hull_ccw(list(by_chart))
-    verts = tuple(by_chart[q] for q in hull2)
+    verts = tuple(c.translate(g, r) for g in unit_hull(d))
     m = len(verts)
+    half = m // 2   # g_ji = -g_ij: vertex i faces vertex i + m/2
 
     edges = []
     for a in range(m):
         b = (a + 1) % m
         u = (verts[b] - verts[a]).coords
-        nrm = DirectionVector((u[1] - u[2], u[2] - u[0], u[0] - u[1]))
-        side = sum(x * y for x, y in zip(nrm.coords, (c - verts[a]).coords))
-        if side < 0:
-            nrm = -nrm
+        # the left normal of a counterclockwise edge points inward
+        nrm = DirectionVector((u[2] - u[1], u[0] - u[2], u[1] - u[0]))
         edges.append(((a, b), nrm))
 
-    anti = {}
-    index_of = {chart2(v.coords): i for i, v in enumerate(verts)}
-    for i, v in enumerate(verts):
-        mirrored = tuple(2 * cc - vc for cc, vc in zip(c.coords, v.coords))
-        anti[i] = index_of[chart2(mirrored)]
-
-    faces = []
-    for i in range(m):
-        faces.append(Face(0, (i,), anti[i]))
-    for a in range(m):
-        b = (a + 1) % m
-        target = {anti[a], anti[b]}
-        opp = next(e for e in range(m) if {e, (e + 1) % m} == target)
-        faces.append(Face(1, (a, b), m + opp))
+    faces = [Face(0, (i,), (i + half) % m) for i in range(m)]
+    faces += [Face(1, pair, m + (a + half) % m) for a, (pair, _) in enumerate(edges)]
 
     ball = PolyBall(c, r, gens, verts, tuple(edges), tuple(faces))
     for f in faces:

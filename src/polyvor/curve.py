@@ -38,13 +38,10 @@ def veronese_point(n: int, p) -> AffinePoint:
     """Binomial density with parameter p: coords C(n,k) p^(n-k) (1-p)^k."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if isinstance(p, float):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterOutOfRange(f"p = {p} outside [0, 1]")
-    else:
+    if not isinstance(p, float):
         p = Fraction(p)
-        if not 0 <= p <= 1:
-            raise ParameterOutOfRange(f"p = {p} outside [0, 1]")
+    if not 0 <= p <= 1:
+        raise ParameterOutOfRange(f"p = {p} outside [0, 1]")
     q = 1 - p
     coords = tuple(math.comb(n, k) * p ** (n - k) * q ** k for k in range(n + 1))
     return AffinePoint(coords)

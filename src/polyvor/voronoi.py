@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from polyvor import _kernels
-from polyvor._chart import PLOT_BOX, chart2, plot_to_point, plot_xy
-from polyvor.ball import _hull_ccw, ball_generators
+from polyvor._chart import HALF_SQRT3, PLOT_BOX, chart2, plot_to_point, plot_xy
+from polyvor.ball import unit_hull
 from polyvor.curve import ParametricCurve
 from polyvor.metrics import FiniteMetric
 from polyvor.transport import (
@@ -43,14 +43,13 @@ WITNESS_OFFSETS = 24   # most halvings of the certificate's witness offset
 def _facet_data(d: FiniteMetric):
     """Exact facet functionals of the unit ball, plus float copies.
 
-    Each CCW hull edge (p, q) of conv(generators) gives a functional a
+    Each CCW edge (p, q) of the unit hull gives a functional a
     with <a, p> = <a, q> = 1; then gauge(w) = max_f <a_f, w> in the
     rational chart.  Returns (exact functionals, A0, A1, hull chart pts).
     """
     if d.n != 2:
         raise ValueError("raster classification is planar (n = 2)")
-    pts = [chart2(g.coords) for g in ball_generators(d)]
-    hull = _hull_ccw(pts)
+    hull = [chart2(g.coords) for g in unit_hull(d)]
     exact = []
     for idx, p in enumerate(hull):
         q = hull[(idx + 1) % len(hull)]
@@ -120,28 +119,26 @@ class CurveSample:
     def count(self) -> int:
         return len(self.params)
 
+    def _plot_xy(self):
+        """Plotting-chart coordinates of every sample, as two arrays."""
+        t1, t2 = self.points[:, 0], self.points[:, 1]
+        return t1 + 0.5 * t2, HALF_SQRT3 * t2
+
     def spacing(self) -> float:
         """Max plotting-chart distance between consecutive samples."""
-        xs, ys = [], []
-        for p in self.points:
-            x, y = plot_xy(p)
-            xs.append(x)
-            ys.append(y)
-        dx = np.diff(np.array(xs))
-        dy = np.diff(np.array(ys))
+        xs, ys = self._plot_xy()
+        dx, dy = np.diff(xs), np.diff(ys)
         return float(np.max(np.hypot(dx, dy))) if len(dx) else 0.0
 
     def nearest_index(self, point) -> int:
         """Index of the sample nearest a point, in the plotting chart."""
         p = as_affine_point(point, chart="hyperplane")
         x, y = plot_xy(p.coords)
-        best, arg = np.inf, -1
-        for i, q in enumerate(self.points):
-            qx, qy = plot_xy(q)
-            h = math.hypot(qx - x, qy - y)
-            if h < best:
-                best, arg = h, i
-        return arg
+        xs, ys = self._plot_xy()
+        # math.hypot, not np.hypot: they differ in the last bit on about
+        # 0.6 % of inputs, which could move a near tie to another sample
+        h = list(map(math.hypot, (xs - x).tolist(), (ys - y).tolist()))
+        return h.index(min(h))
 
 
 def sample_curve(curve: ParametricCurve, count: int) -> CurveSample:
@@ -244,17 +241,6 @@ class DimensionCertificate:
     claimed_lower_bound: int
 
 
-def _unit_ball_edges_plot(d: FiniteMetric):
-    """Plot-chart edge directions of the unit ball, one per hull edge."""
-    _, _, _, hull = _facet_data(d)
-    dirs = []
-    for i, p in enumerate(hull):
-        q = hull[(i + 1) % len(hull)]
-        u = (q[0] - p[0], q[1] - p[1], -(q[0] - p[0]) - (q[1] - p[1]))
-        dirs.append(plot_xy(u))
-    return dirs
-
-
 def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
                           tie_tolerance: float = DEFAULT_TIE_TOL):
     """Search for a full-dimension certificate at a sample point.
@@ -272,8 +258,8 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
     idx = sample.nearest_index(point)
     p = as_affine_point(point, chart="hyperplane")
     x0, y0 = plot_xy(p.coords)
-    sx, sy = plot_xy(sample.points[idx])
-    if math.hypot(sx - x0, sy - y0) > 1e-9:
+    xs, ys = sample._plot_xy()
+    if math.hypot(xs[idx] - x0, ys[idx] - y0) > 1e-9:
         raise ValueError("point is not a sample point")
 
     # unique slot of x (duplicates of x merge into it)
@@ -282,8 +268,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
 
     # tangent estimate from neighbors, central difference when possible
     lo, hi = max(idx - 1, 0), min(idx + 1, sample.count - 1)
-    tx = plot_xy(sample.points[hi])[0] - plot_xy(sample.points[lo])[0]
-    ty = plot_xy(sample.points[hi])[1] - plot_xy(sample.points[lo])[1]
+    tx, ty = float(xs[hi] - xs[lo]), float(ys[hi] - ys[lo])
     th = math.hypot(tx, ty)
     if th == 0.0:
         return NotFound(0)
@@ -294,7 +279,9 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
         h = math.hypot(ex, ey)
         return abs((ex * tx + ey * ty) / h)
 
-    edges = sorted(_unit_ball_edges_plot(d), key=alignment, reverse=True)
+    hull = unit_hull(d)
+    edges = [plot_xy((b - a).coords) for a, b in zip(hull, hull[1:] + hull[:1])]
+    edges.sort(key=alignment, reverse=True)
 
     floor = 4.0 * sample.spacing()
     ts = []

@@ -4,6 +4,7 @@ The hull oracle here is gift wrapping written directly against exact cross
 products -- independent of the monotone chain used by the library.
 """
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from polyvor import (
 from polyvor._chart import chart2
 from polyvor.metrics import random_metric
 from polyvor.transport import AffinePoint
+from polyvor.voronoi import _facet_data
 
 from oracles import as_direction, face_cone_decomposition_check
 
@@ -119,16 +121,73 @@ def test_central_symmetry_and_scaling(metrics):
     assert scaled == {v.coords for v in b2.hull_vertices}
 
 
+def _fixture_and_random_metrics(metrics, count):
+    return [metrics[name] for name in ("unit", "line", "two_cell", "three_cell")] \
+        + [random_metric(3, s) for s in range(count)]
+
+
 def test_faces_and_opposites(metrics):
-    ball = build_ball(CENTROID, F(1, 3), metrics["unit"])
-    m = ball.vertex_count
-    assert len(ball.faces) == 2 * m
-    for f in ball.faces:
-        g = ball.faces[f.opposite]
-        assert g.dim == f.dim
-        assert g.opposite == ball.faces.index(f)
-    dims = [f.dim for f in ball.faces]
-    assert dims == [0] * m + [1] * m
+    for d in _fixture_and_random_metrics(metrics, 30):
+        ball = build_ball(CENTROID, F(1, 3), d)
+        m = ball.vertex_count
+        assert len(ball.faces) == 2 * m
+        for f in ball.faces:
+            g = ball.faces[f.opposite]
+            assert g.dim == f.dim
+            assert g.opposite == ball.faces.index(f)
+        dims = [f.dim for f in ball.faces]
+        assert dims == [0] * m + [1] * m
+
+        def mirror(i):
+            v = ball.hull_vertices[i].coords
+            return tuple(2 * c - x for c, x in zip(CENTROID, v))
+
+        for i in range(m):
+            j = ball.faces[i].opposite
+            assert ball.hull_vertices[j].coords == mirror(i)
+        for f in ball.faces[m:]:
+            opp = ball.faces[f.opposite].vertex_indices
+            assert {ball.hull_vertices[k].coords for k in opp} \
+                == {mirror(k) for k in f.vertex_indices}
+
+
+def test_facet_functionals_follow_ball_edge_order(metrics):
+    # edge f of every ball lies on facet f of the unit ball's table
+    r = F(2, 5)
+    for d in _fixture_and_random_metrics(metrics, 30):
+        exact, _, _, _ = _facet_data(d)
+        ball = build_ball(CENTROID, r, d)
+        assert len(exact) == len(ball.edges)
+        for f, ((a, b), _) in enumerate(ball.edges):
+            for v in (ball.hull_vertices[a], ball.hull_vertices[b]):
+                w1, w2 = chart2((v - ball.center).coords)
+                assert exact[f][0] * w1 + exact[f][1] * w2 == r
+
+
+def _geometry_text(ball):
+    """Canonical text of a ball's hull, edges and faces, from str(Fraction)."""
+    def row(values):
+        return ",".join(str(v) for v in values)
+
+    verts = [row(v.coords) for v in ball.hull_vertices]
+    edges = [f"{a} {b} {row(n.coords)}" for (a, b), n in ball.edges]
+    faces = [f"{f.dim} {row(f.vertex_indices)} {f.opposite}" for f in ball.faces]
+    return "|".join((";".join(verts), ";".join(edges), ";".join(faces)))
+
+
+# sha256 of the ball geometry, pinned from the per-ball hull construction
+# that the shared unit hull replaced: a moved vertex, normal or antipode
+# index shows here
+BALL_GEOMETRY_SHA256 = "4b0c6e25c4a970a85505a6dffd57744a64982a2cdc114af5b13bf44bcd749d40"
+
+
+def test_ball_geometry_matches_pinned_hash(metrics):
+    h = hashlib.sha256()
+    for d in _fixture_and_random_metrics(metrics, 40):
+        for center in (CENTROID, (0.2, 0.3, 0.5)):
+            h.update(_geometry_text(build_ball(center, F(2, 5), d)).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == BALL_GEOMETRY_SHA256
 
 
 def test_edge_normals_point_inward(metrics):

@@ -180,6 +180,33 @@ def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
     assert out["error"]["type"] == err
 
 
+FOUR_STATE = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+
+
+@pytest.mark.parametrize("argv, err, message", [
+    (["raster", "--resolution", "8", "--samples", "11"], "ValueError",
+     "raster classification is planar (n = 2)"),
+    (["tangency"], "DimensionMismatch",
+     "edge direction classes are defined for n = 2"),
+    (["count"], "DimensionMismatch",
+     "edge direction classes are defined for n = 2"),
+])
+def test_planar_commands_reject_four_states(tmp_path, capsys, argv, err, message):
+    path = metric_file(tmp_path, FOUR_STATE)
+    code = cli.main(argv[:1] + ["--metric", path] + argv[1:])
+    text = capsys.readouterr().out
+    assert code == 1
+    assert text == json.dumps({"error": {"type": err, "message": message}}) + "\n"
+
+
+def test_ball_of_two_states_has_no_hull(tmp_path, capsys):
+    path = metric_file(tmp_path, [[0, 1], [1, 0]])
+    code, out = run(["ball", "--metric", path, "--center", "1/2,1/2",
+                     "--radius", "1/3"], capsys)
+    assert code == 0
+    assert out == {"vertex_count": 0, "vertices": [], "edges": []}
+
+
 def test_check_all_pass(capsys):
     code = cli.main(["check"])
     captured = capsys.readouterr()

@@ -21,6 +21,7 @@ from polyvor import (
     raster_voronoi,
     sample_curve,
 )
+from polyvor._chart import plot_xy
 from polyvor.voronoi import exact_gauge
 from polyvor._kernels import OUTSIDE, TIE
 
@@ -111,6 +112,20 @@ def test_circle_sample_seam_merges():
     assert len(s.u1) == 1000            # endpoints coincide as points
     assert 0 in set(int(r) for r in s.rep)
     assert 1000 not in set(int(r) for r in s.rep)
+
+
+def test_sample_chart_geometry_matches_per_sample_scan():
+    rng = np.random.default_rng(8)
+    for s in (sample_curve(HW, 201), sample_curve(circle_curve(), 301)):
+        xy = np.array([plot_xy(p) for p in s.points])
+        steps = np.hypot(np.diff(xy[:, 0]), np.diff(xy[:, 1]))
+        assert s.spacing() == float(np.max(steps))
+        queries = [tuple(p) for p in s.points[::37]]
+        queries += [tuple(q) for q in rng.dirichlet((1, 1, 1), 40)]
+        for q in queries:
+            x, y = plot_xy(q)
+            h = [math.hypot(qx - x, qy - y) for qx, qy in xy]
+            assert s.nearest_index(q) == h.index(min(h))
 
 
 def test_single_point_sample_owns_every_pixel(metrics):
