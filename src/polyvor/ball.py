@@ -120,7 +120,7 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     face list (with antipodal partners) are computed; the hull always has
     4 or 6 vertices.  For other n the ball stores generators only.
     """
-    c = exact_point(as_affine_point(center, chart="hyperplane"))
+    c = exact_point(as_affine_point(center))
     r = Fraction(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -158,8 +158,8 @@ def face_cone_membership(x, face, y) -> bool:
     cones of proper faces are open (they exclude x).  All predicates are
     exact rational sign tests in the rational chart.
     """
-    x = exact_point(as_affine_point(x, chart="hyperplane"))
-    y = exact_point(as_affine_point(y, chart="hyperplane"))
+    x = exact_point(as_affine_point(x))
+    y = exact_point(as_affine_point(y))
     if face is None:
         return x.coords == y.coords
     ball = face.ball

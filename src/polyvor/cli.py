@@ -20,7 +20,7 @@ from polyvor.counting import count_full_dim_cells_hw, full_dim_upper_bound
 from polyvor.curve import circle_curve, hardy_weinberg_curve, hw_tangency_points, veronese_point
 from polyvor.metrics import MetricError, validate_metric
 from polyvor.transport import wasserstein_distance
-from polyvor.voronoi import raster_voronoi, sample_curve
+from polyvor.voronoi import DEFAULT_TIE_TOL, FULL_DIM_THRESHOLD, raster_voronoi, sample_curve
 
 
 def load_metric(path):
@@ -228,8 +228,8 @@ def build_parser():
     p.add_argument("--curve", choices=("hw", "circle"), default="hw")
     p.add_argument("--samples", type=int, default=1001)
     p.add_argument("--resolution", type=int, default=512)
-    p.add_argument("--tie-tolerance", type=float, default=1e-9)
-    p.add_argument("--threshold", type=float, default=0.001)
+    p.add_argument("--tie-tolerance", type=float, default=DEFAULT_TIE_TOL)
+    p.add_argument("--threshold", type=float, default=FULL_DIM_THRESHOLD)
     p.add_argument("--circle-radius", type=float, default=0.2)
     p.add_argument("--out", help="output PPM path")
     p.add_argument("--svg", help="overlay SVG path")

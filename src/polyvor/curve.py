@@ -105,8 +105,7 @@ def circle_curve(radius: float = 0.2) -> ParametricCurve:
     def ev(p):
         th = 2.0 * math.pi * p
         coords = _chart.plot_to_point(cx + rho * math.cos(th), cy + rho * math.sin(th))
-        chart = "simplex" if min(coords) >= -1e-12 else "hyperplane"
-        return AffinePoint(coords, chart=chart)
+        return AffinePoint(coords)
 
     def tan(p):
         th = 2.0 * math.pi * p

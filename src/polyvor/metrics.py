@@ -84,7 +84,10 @@ def validate_metric(matrix) -> FiniteMetric:
     run in a fixed order (conversion, diagonal, symmetry, positivity,
     triangle) and the raised error carries the offending 1-based indices.
     """
-    rows = [list(r) for r in matrix]
+    try:
+        rows = [list(r) for r in matrix]
+    except TypeError:  # a scalar where the matrix or a row should be
+        rows = []
     k = len(rows)
     if k < 2 or any(len(r) != k for r in rows):
         raise MetricError("cost matrix must be square with at least 2 states")

@@ -1,9 +1,12 @@
 """Points of the hyperplane sum(t) = 1 and Wasserstein distances on it.
 
 ``AffinePoint`` and ``DirectionVector`` hold exact (Fraction) or float
-coordinates.  ``wasserstein_distance`` solves the transportation LP with a
-dense network simplex that runs unchanged on Fractions (exact path) or
-floats.
+coordinates.  Points live on the whole hyperplane: the polyhedral
+Wasserstein distance is a norm there, so balls, face cones and certificate
+witnesses may leave the simplex.  Only the two transport endpoints must be
+probability distributions, and ``wasserstein_distance`` checks that.  It
+solves the transportation LP with a dense network simplex that runs
+unchanged on Fractions (exact path) or floats.
 """
 
 from __future__ import annotations
@@ -42,26 +45,19 @@ def _coerce_coords(seq):
 
 @dataclass(frozen=True)
 class AffinePoint:
-    """A point of the hyperplane sum(t) = 1.
+    """A point of the hyperplane sum(t) = 1, inside the simplex or not.
 
-    ``chart`` records whether the point is asserted to lie in the closed
-    simplex ("simplex") or merely on the hyperplane ("hyperplane").  Exact
-    points get exact validation; float points get tolerance 1e-9 on the sum
-    and -1e-12 on simplex nonnegativity.
+    Coordinates must be finite.  Exact points must sum to 1 exactly; float
+    points within SUM_TOL.  Simplex membership is checked where it matters,
+    at the transport endpoints of ``wasserstein_distance``.
     """
 
     coords: tuple
-    chart: str = "simplex"
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _coerce_coords(self.coords))
-        if self.chart not in ("simplex", "hyperplane"):
-            raise ValueError(f"unknown chart {self.chart!r}")
-        sum_tol, neg_tol = (0, 0) if self.is_exact else (SUM_TOL, FEAS_TOL)
-        if abs(sum(self.coords) - 1) > sum_tol:
+        if abs(sum(self.coords) - 1) > (0 if self.is_exact else SUM_TOL):
             raise ValueError("coordinates must sum to 1")
-        if self.chart == "simplex" and any(c < -neg_tol for c in self.coords):
-            raise ValueError("simplex-chart coordinates must be >= 0")
 
     @property
     def dim(self) -> int:
@@ -79,10 +75,7 @@ class AffinePoint:
     def translate(self, v: "DirectionVector", scale=1) -> "AffinePoint":
         if len(self.coords) != len(v.coords):
             raise DimensionMismatch("vector dimension does not match point")
-        return AffinePoint(
-            tuple(c + scale * w for c, w in zip(self.coords, v.coords)),
-            chart="hyperplane",
-        )
+        return AffinePoint(tuple(c + scale * w for c, w in zip(self.coords, v.coords)))
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,10 @@ class DirectionVector:
     __rmul__ = __mul__
 
 
-def as_affine_point(obj, chart="simplex") -> AffinePoint:
+def as_affine_point(obj) -> AffinePoint:
     if isinstance(obj, AffinePoint):
         return obj
-    return AffinePoint(tuple(obj), chart=chart)
+    return AffinePoint(tuple(obj))
 
 
 def exact_point(p) -> AffinePoint:
@@ -132,7 +125,7 @@ def exact_point(p) -> AffinePoint:
     if p.is_exact:
         return p
     head = [Fraction(c) for c in p.coords[:-1]]
-    return AffinePoint(tuple(head) + (1 - sum(head),), chart="hyperplane")
+    return AffinePoint(tuple(head) + (1 - sum(head),))
 
 
 @dataclass(frozen=True)
@@ -173,54 +166,57 @@ def _network_simplex(supply, demand, cost, opt_tol):
     index rule picks both the entering arc and the leaving arc, so the
     exact path cannot cycle.  Returns (flow matrix, objective).
     """
-    k = len(supply)
+    m, n = len(supply), len(demand)
     zero = sum(supply) * 0
 
     # northwest-corner initial basic feasible solution
-    flow = [[zero] * k for _ in range(k)]
-    basis = []
+    flow = [[zero] * n for _ in range(m)]
+    basis = set()
     ra, rb = list(supply), list(demand)
     i = j = 0
-    while len(basis) < 2 * k - 1:
+    while len(basis) < m + n - 1:
         t = min(ra[i], rb[j])
         flow[i][j] = t
-        basis.append((i, j))
+        basis.add((i, j))
         ra[i] -= t
         rb[j] -= t
-        if i == k - 1:
+        if i == m - 1:
             j += 1
-        elif j == k - 1:
+        elif j == n - 1:
             i += 1
         elif ra[i] <= zero:
             i += 1
         else:
             j += 1
 
-    basis_set = set(basis)
-    max_iter = 500 * k * k
-    for _ in range(max_iter):
-        # node potentials from the basis tree (rows 0..k-1, cols k..2k-1)
-        adj = [[] for _ in range(2 * k)]
+    for _ in range(500 * m * n):
+        # one walk of the basis tree from row 0 (rows 0..m-1, cols m..m+n-1)
+        # gives the node potentials and the parent and depth of every node
+        adj = [[] for _ in range(m + n)]
         for (a, b) in basis:
-            adj[a].append(k + b)
-            adj[k + b].append(a)
-        pot = [None] * (2 * k)
+            adj[a].append(m + b)
+            adj[m + b].append(a)
+        pot = [None] * (m + n)
+        parent = [None] * (m + n)
+        depth = [0] * (m + n)
         pot[0] = zero
         stack = [0]
         while stack:
             u = stack.pop()
             for w in adj[u]:
                 if pot[w] is None:
-                    c = cost[u][w - k] if u < k else cost[w][u - k]
+                    c = cost[u][w - m] if u < m else cost[w][u - m]
                     pot[w] = c - pot[u]
+                    parent[w] = u
+                    depth[w] = depth[u] + 1
                     stack.append(w)
 
         entering = None
-        for a in range(k):
-            for b in range(k):
-                if (a, b) in basis_set:
+        for a in range(m):
+            for b in range(n):
+                if (a, b) in basis:
                     continue
-                if cost[a][b] - pot[a] - pot[k + b] < -opt_tol:
+                if cost[a][b] - pot[a] - pot[m + b] < -opt_tol:
                     entering = (a, b)
                     break
             if entering is not None:
@@ -228,47 +224,33 @@ def _network_simplex(supply, demand, cost, opt_tol):
         if entering is None:
             break
 
-        # unique tree path from row node to col node of the entering arc
+        # the cycle is the entering arc plus the tree path between its ends;
+        # climbing from each end to their common ancestor, the tree arcs
+        # alternate -, +, -, ... and theta is limited by the '-' arcs
         ei, ej = entering
-        parent = {ei: None}
-        stack = [ei]
-        while stack:
-            u = stack.pop()
-            if u == k + ej:
-                break
-            for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    stack.append(w)
-        path = [k + ej]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()  # node sequence ei ... k+ej
-
-        # arcs along the path alternate -,+,-,... starting at the row of the
-        # entering arc; theta is limited by the '-' arcs
-        cells = []
-        for a, b in zip(path, path[1:]):
-            cell = (a, b - k) if a < k else (b, a - k)
-            cells.append(cell)
-        minus = cells[0::2]
+        ends, arcs = [ei, m + ej], ([], [])
+        while ends[0] != ends[1]:
+            s = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            w, p = ends[s], parent[ends[s]]
+            arcs[s].append((w, p - m) if w < m else (p, w - m))
+            ends[s] = p
+        minus = arcs[0][0::2] + arcs[1][0::2]
+        plus = arcs[0][1::2] + arcs[1][1::2]
         theta = min(flow[a][b] for (a, b) in minus)
         leaving = min((a, b) for (a, b) in minus if flow[a][b] == theta)
 
         flow[ei][ej] = theta
-        for idx, (a, b) in enumerate(cells):
-            if idx % 2 == 0:
-                flow[a][b] -= theta
-            else:
-                flow[a][b] += theta
+        for (a, b) in minus:
+            flow[a][b] -= theta
+        for (a, b) in plus:
+            flow[a][b] += theta
         flow[leaving[0]][leaving[1]] = zero
-        basis_set.remove(leaving)
-        basis_set.add(entering)
-        basis[basis.index(leaving)] = entering
+        basis.remove(leaving)
+        basis.add(entering)
     else:
         raise RuntimeError("network simplex failed to converge")
 
-    total = sum(cost[a][b] * flow[a][b] for a in range(k) for b in range(k))
+    total = sum(cost[a][b] * flow[a][b] for a in range(m) for b in range(n))
     return flow, total
 
 
@@ -277,33 +259,30 @@ def wasserstein_distance(mu, nu, d, *, exact=True):
 
     Returns ``(cost, plan)`` where the plan attains the cost.  The exact
     path (default) computes on Fractions; ``exact=False`` runs the same
-    simplex on floats with tolerances FEAS_TOL/OPT_TOL.
+    simplex on floats with tolerances FEAS_TOL/OPT_TOL.  An endpoint with
+    an exact coordinate below 0, or a float one below -FEAS_TOL, raises
+    ValueError.
     """
     mu = as_affine_point(mu)
     nu = as_affine_point(nu)
-    if len(mu.coords) != len(nu.coords) or len(mu.coords) != d.n_states:
+    k = d.n_states
+    if len(mu.coords) != len(nu.coords) or len(mu.coords) != k:
         raise DimensionMismatch("points and metric must share one state set")
-    if any(c < (0 if mu.is_exact else -FEAS_TOL) for c in mu.coords) or \
-       any(c < (0 if nu.is_exact else -FEAS_TOL) for c in nu.coords):
-        raise ValueError("transport endpoints must lie in the closed simplex")
+    for p in (mu, nu):
+        if min(p.coords) < (0 if p.is_exact else -FEAS_TOL):
+            raise ValueError("transport endpoints must lie in the closed simplex")
 
+    num, opt_tol = (Fraction, 0) if exact else (float, OPT_TOL)
     if exact:
-        mu_e, nu_e = exact_point(mu), exact_point(nu)
-        sup = [max(c, Fraction(0)) for c in mu_e.coords]
-        dem = [max(c, Fraction(0)) for c in nu_e.coords]
+        mu, nu = exact_point(mu), exact_point(nu)
+    sup = [max(num(c), num(0)) for c in mu.coords]
+    dem = [max(num(c), num(0)) for c in nu.coords]
+    if exact:
         # clamping can only have removed float slack; rebalance the largest entry
         sup[sup.index(max(sup))] += 1 - sum(sup)
         dem[dem.index(max(dem))] += 1 - sum(dem)
-        costm = [[d[i, j] for j in range(d.n_states)] for i in range(d.n_states)]
-        flow, total = _network_simplex(sup, dem, costm, 0)
-        src = AffinePoint(tuple(sup))
-        dst = AffinePoint(tuple(dem))
-    else:
-        sup = [max(float(c), 0.0) for c in mu.coords]
-        dem = [max(float(c), 0.0) for c in nu.coords]
-        costm = [[float(d[i, j]) for j in range(d.n_states)] for i in range(d.n_states)]
-        flow, total = _network_simplex(sup, dem, costm, OPT_TOL)
-        src = AffinePoint(tuple(sup))
-        dst = AffinePoint(tuple(dem))
-    plan = TransportPlan(tuple(tuple(r) for r in flow), src, dst)
+    costm = [[num(d[i, j]) for j in range(k)] for i in range(k)]
+    flow, total = _network_simplex(sup, dem, costm, opt_tol)
+    plan = TransportPlan(tuple(tuple(r) for r in flow),
+                         AffinePoint(tuple(sup)), AffinePoint(tuple(dem)))
     return total, plan

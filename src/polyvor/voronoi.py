@@ -132,7 +132,7 @@ class CurveSample:
 
     def nearest_index(self, point) -> int:
         """Index of the sample nearest a point, in the plotting chart."""
-        p = as_affine_point(point, chart="hyperplane")
+        p = as_affine_point(point)
         x, y = plot_xy(p.coords)
         xs, ys = self._plot_xy()
         # math.hypot, not np.hypot: they differ in the last bit on about
@@ -157,7 +157,7 @@ def classify(point, sample: CurveSample, d: FiniteMetric,
     """
     _check_nonnegative("tie tolerance", tie_tolerance)
     _, a0, a1, _ = _facet_data(d)
-    p = as_affine_point(point, chart="hyperplane")
+    p = as_affine_point(point)
     t1, t2 = float(p.coords[0]), float(p.coords[1])
     lab, _, _ = _kernels.classify_points(t1, t2, a0, a1,
                                          sample.u1, sample.u2, tie_tolerance)
@@ -256,7 +256,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
     _check_nonnegative("tie tolerance", tie_tolerance)
     exact, a0, a1, _ = _facet_data(d)
     idx = sample.nearest_index(point)
-    p = as_affine_point(point, chart="hyperplane")
+    p = as_affine_point(point)
     x0, y0 = plot_xy(p.coords)
     xs, ys = sample._plot_xy()
     if math.hypot(xs[idx] - x0, ys[idx] - y0) > 1e-9:
@@ -307,7 +307,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
                     continue
 
                 # exact confirmation
-                y_ex = exact_point(AffinePoint(plot_to_point(*wy), chart="hyperplane"))
+                y_ex = exact_point(AffinePoint(plot_to_point(*wy)))
                 w1 = x_ex.coords[0] - y_ex.coords[0]
                 w2 = x_ex.coords[1] - y_ex.coords[1]
                 vals = _facet_values(exact, w1, w2)

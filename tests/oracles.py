@@ -106,8 +106,8 @@ def gauge_distance(x, y, generators) -> Fraction:
     in the span of the generators.  For the distance to be symmetric the
     generator set should be centrally symmetric (not enforced here).
     """
-    x = exact_point(as_affine_point(x, chart="hyperplane"))
-    y = exact_point(as_affine_point(y, chart="hyperplane"))
+    x = exact_point(as_affine_point(x))
+    y = exact_point(as_affine_point(y))
     if len(x.coords) != len(y.coords):
         raise DimensionMismatch("points live in different simplices")
     gens = [exact_direction(g) for g in generators]
@@ -266,7 +266,7 @@ def face_cone_decomposition_check(center, points, ball) -> bool:
     The empty face (cone {center}) participates, so the cones partition
     the plane and the check is a hard exactly-one count per point.
     """
-    x = exact_point(as_affine_point(center, chart="hyperplane"))
+    x = exact_point(as_affine_point(center))
     faces = [None] + list(ball.faces)
     for q in points:
         hits = sum(1 for f in faces if face_cone_membership(x, f, q))
@@ -285,7 +285,7 @@ def half_ball_test(point, normal, curve: ParametricCurve, r: float = 0.05,
     for the tangent-line normal at a tangency; False where the curve
     crosses the line.
     """
-    p = as_affine_point(point, chart="hyperplane")
+    p = as_affine_point(point)
     x0, y0 = plot_xy(p.coords)
     nrm = tuple(normal.coords) if hasattr(normal, "coords") else tuple(normal)
     if len(nrm) == 3:

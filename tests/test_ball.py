@@ -210,8 +210,7 @@ def test_face_cone_membership_cases(metrics):
     (a, b), _ = ball.edges[0]
     va, vb = ball.hull_vertices[a], ball.hull_vertices[b]
     mid = tuple((p + q) / 2 for p, q in zip(va.coords, vb.coords))
-    through = AffinePoint(tuple(2 * c - mm for c, mm in zip(CENTROID, mid)),
-                          chart="hyperplane")
+    through = AffinePoint(tuple(2 * c - mm for c, mm in zip(CENTROID, mid)))
     face = next(f for f in ball.faces
                 if f.dim == 1 and tuple(f.vertex_indices) == (a, b))
     opp = ball.faces[face.opposite]
@@ -219,8 +218,7 @@ def test_face_cone_membership_cases(metrics):
     assert not face_cone_membership(x, opp, through)
     # a vertex ray: vertex cone fires, neighboring edge cones do not
     v0 = ball.hull_vertices[0].coords
-    ray = AffinePoint(tuple(c + 3 * (p - c) for c, p in zip(CENTROID, v0)),
-                      chart="hyperplane")
+    ray = AffinePoint(tuple(c + 3 * (p - c) for c, p in zip(CENTROID, v0)))
     vface = ball.faces[0]
     assert face_cone_membership(x, ball.faces[vface.opposite], ray)
     # the center belongs to the empty face only
@@ -236,8 +234,7 @@ def test_face_cones_partition_random_points(metrics):
         for _ in range(120):
             a = F(int(rng.integers(-40, 41)), 120)
             b = F(int(rng.integers(-40, 41)), 120)
-            pts.append(AffinePoint((F(1, 3) + a, F(1, 3) + b,
-                                    F(1, 3) - a - b), chart="hyperplane"))
+            pts.append(AffinePoint((F(1, 3) + a, F(1, 3) + b, F(1, 3) - a - b)))
         assert face_cone_decomposition_check(AffinePoint(CENTROID), pts, ball)
 
 

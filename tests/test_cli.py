@@ -153,6 +153,12 @@ def test_metric_file_errors(tmp_path, capsys):
     assert code == 1
     assert out["error"]["type"] == "MetricError"
 
+    scalar = metric_file(tmp_path, 5, "scalar.json")
+    code, out = run(["count", "--metric", scalar], capsys)
+    assert code == 1
+    assert out["error"] == {"type": "MetricError",
+                            "message": "cost matrix must be square with at least 2 states"}
+
     tri = metric_file(tmp_path, [[0, 1, 3], [1, 0, 1], [3, 1, 0]], "tri.json")
     code, out = run(["count", "--metric", tri], capsys)
     assert code == 1
@@ -169,15 +175,20 @@ def test_metric_file_errors(tmp_path, capsys):
            "--tie-tolerance", "nan"], "ValueError"),
     ("1", ["raster", "--resolution", "8", "--samples", "11",
            "--threshold", "-1"], "ValueError"),
+    ("1", ["distance", "--mu", "3/2,-1/2,0", "--nu", "1,0,0"],
+     "ValueError: transport endpoints must lie in the closed simplex"),
 ])
 def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
                                                             entry, argv, err):
     path = tmp_path / "d.json"
     path.write_text('{"d": [[0, %s, 1], [%s, 0, 1], [1, 1, 0]]}' % (entry, entry))
     code = cli.main(argv[:1] + ["--metric", str(path)] + argv[1:])
-    out = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
     assert code == 1
-    assert out["error"]["type"] == err
+    err_type, _, message = err.partition(": ")
+    assert json.loads(text)["error"]["type"] == err_type
+    if message:
+        assert text == json.dumps({"error": {"type": err_type, "message": message}}) + "\n"
 
 
 FOUR_STATE = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]

@@ -36,6 +36,9 @@ def test_non_square_rejected():
         validate_metric([[0, 1], [1, 0], [1, 1]])
     with pytest.raises(MetricError):
         validate_metric([[0]])
+    for bad in (5, [1, 2], [[0, 1], 2]):
+        with pytest.raises(MetricError, match="must be square"):
+            validate_metric(bad)
 
 
 def test_indexing_and_symmetry_access(metrics):
