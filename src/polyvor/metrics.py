@@ -69,12 +69,16 @@ class FiniteMetric:
 
 
 def _entry(x, i, j) -> Fraction:
-    """One matrix entry as a Fraction; non-finite or malformed is a MetricError."""
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ArithmeticError):
-        raise MetricError(f"entry ({i + 1},{j + 1}) is not a finite rational: "
-                          f"{x!r}") from None
+    """One matrix entry as a Fraction; non-finite or malformed is a MetricError.
+
+    Booleans are malformed too, although Python counts them as integers.
+    """
+    if not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    raise MetricError(f"entry ({i + 1},{j + 1}) is not a finite rational: {x!r}")
 
 
 def validate_metric(matrix) -> FiniteMetric:

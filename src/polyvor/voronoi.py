@@ -45,7 +45,7 @@ def _facet_data(d: FiniteMetric):
 
     Each CCW edge (p, q) of the unit hull gives a functional a
     with <a, p> = <a, q> = 1; then gauge(w) = max_f <a_f, w> in the
-    rational chart.  Returns (exact functionals, A0, A1, hull chart pts).
+    rational chart.  Returns (exact functionals, A0, A1).
     """
     if d.n != 2:
         raise ValueError("raster classification is planar (n = 2)")
@@ -59,7 +59,7 @@ def _facet_data(d: FiniteMetric):
     a1 = np.array([float(b) for _, b in exact])
     a0.setflags(write=False)
     a1.setflags(write=False)
-    return tuple(exact), a0, a1, tuple(hull)
+    return tuple(exact), a0, a1
 
 
 def _facet_values(exact, w1, w2):
@@ -69,7 +69,7 @@ def _facet_values(exact, w1, w2):
 
 def exact_gauge(d: FiniteMetric, w) -> Fraction:
     """Exact unit-ball gauge of a sum-zero vector via facet functionals."""
-    exact, _, _, _ = _facet_data(d)
+    exact, _, _ = _facet_data(d)
     w1, w2 = chart2(w.coords if hasattr(w, "coords") else tuple(w))
     return max(_facet_values(exact, w1, w2))
 
@@ -156,7 +156,7 @@ def classify(point, sample: CurveSample, d: FiniteMetric,
     ``tie_tolerance``; samples that coincide as points count as one.
     """
     _check_nonnegative("tie tolerance", tie_tolerance)
-    _, a0, a1, _ = _facet_data(d)
+    _, a0, a1 = _facet_data(d)
     p = as_affine_point(point)
     t1, t2 = float(p.coords[0]), float(p.coords[1])
     lab, _, _ = _kernels.classify_points(t1, t2, a0, a1,
@@ -201,7 +201,7 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     _check_nonnegative("tie tolerance", tie_tolerance)
-    _, a0, a1, _ = _facet_data(d)
+    _, a0, a1 = _facet_data(d)
     labels = _kernels.classify_grid(resolution, a0, a1, sample.u1, sample.u2,
                                     tie_tolerance)
     pos = labels >= 0
@@ -254,7 +254,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
     NotFound when no candidate survives.
     """
     _check_nonnegative("tie tolerance", tie_tolerance)
-    exact, a0, a1, _ = _facet_data(d)
+    exact, a0, a1 = _facet_data(d)
     idx = sample.nearest_index(point)
     p = as_affine_point(point)
     x0, y0 = plot_xy(p.coords)

@@ -11,7 +11,9 @@ shares as little code with it as possible:
 * ``face_cone_decomposition_check`` -- the face cones of a ball partition
   the plane;
 * ``half_ball_test`` -- the curve stays on one side of a line near a point;
-* ``planar_tangency_points`` -- tangency parameters by numeric bracketing.
+* ``planar_tangency_points`` -- tangency parameters by numeric bracketing;
+* ``brute_classify_grid`` -- raster labels from every pixel x sample pair,
+  the row kernel the tile-pruned ``classify_grid`` must reproduce.
 
 Only tests import this module; pytest puts ``tests/`` on ``sys.path``.
 """
@@ -26,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from polyvor import _chart
-from polyvor._chart import plot_xy
+from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, plot_xy
+from polyvor._kernels import OUTSIDE, _nearest, gauge
 from polyvor.ball import face_cone_membership
 from polyvor.curve import ParametricCurve
 from polyvor.transport import (
@@ -367,3 +370,33 @@ def planar_tangency_points(curve: ParametricCurve, direction, bracket_count: int
         if all(abs(r - s) > 1e-9 for s in cleaned):
             cleaned.append(r)
     return sorted(cleaned)
+
+
+# ---------------------------------------------------------------------------
+# raster labels without pruning
+
+
+def brute_classify_grid(res, a0, a1, s1, s2, tie_tol):
+    """Label a res x res grid of pixel centers by nearest sample (s1, s2).
+
+    Pixel centers live on the plotting-chart box [0,1] x [0,sqrt(3)/2],
+    row iy = 0 at the bottom; pixels outside the simplex are OUTSIDE.
+    """
+    labels = np.full((res, res), OUTSIDE, dtype=np.int64)
+    px = (np.arange(res) + 0.5) * (1.0 / res)
+    dy = HALF_SQRT3 / res
+    d1 = np.empty((res, len(s1)))
+    dist = np.empty_like(d1)
+    for iy in range(res):
+        t2 = (iy + 0.5) * dy * INV_HALF_SQRT3
+        t1 = px - 0.5 * t2
+        t3 = 1.0 - t1 - t2
+        inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2 >= 0.0)
+        t1in = t1[inside]
+        n = len(t1in)
+        if n == 0:
+            continue
+        np.subtract(s1, t1in[:, None], out=d1[:n])
+        gauge(a0, a1, d1[:n], s2 - t2, dist[:n])
+        labels[iy, inside] = _nearest(dist[:n], tie_tol)[0]
+    return labels

@@ -304,7 +304,7 @@ NON_TANGENT = {
 def _verify_certificate(cert, sample, d):
     """Independent re-check of a certificate: exact gauges, uniqueness,
     strict exteriority of every other sample, LP cross-check, face cone."""
-    exact, _, _, _ = _facet_data(d)
+    exact, _, _ = _facet_data(d)
     y1, y2 = cert.witness_y.coords[0], cert.witness_y.coords[1]
 
     w1 = cert.x.coords[0] - y1

@@ -155,7 +155,7 @@ def test_facet_functionals_follow_ball_edge_order(metrics):
     # edge f of every ball lies on facet f of the unit ball's table
     r = F(2, 5)
     for d in _fixture_and_random_metrics(metrics, 30):
-        exact, _, _, _ = _facet_data(d)
+        exact, _, _ = _facet_data(d)
         ball = build_ball(CENTROID, r, d)
         assert len(exact) == len(ball.edges)
         for f, ((a, b), _) in enumerate(ball.edges):

@@ -165,6 +165,19 @@ def test_metric_file_errors(tmp_path, capsys):
     assert out["error"]["type"] == "TriangleViolation"
 
 
+@pytest.mark.parametrize("rows, cell", [
+    ([[0, True, True], [True, 0, True], [True, True, 0]], "(1,2)"),
+    ([[0, True], [True, 0]], "(1,2)"),
+])
+def test_boolean_metric_entries_are_json_errors(tmp_path, capsys, rows, cell):
+    path = metric_file(tmp_path, rows)
+    code = cli.main(["count", "--metric", path])
+    text = capsys.readouterr().out
+    assert code == 1
+    message = f"entry {cell} is not a finite rational: True"
+    assert text == json.dumps({"error": {"type": "MetricError", "message": message}}) + "\n"
+
+
 @pytest.mark.parametrize("entry, argv, err", [
     ('"1/0"', ["count"], "MetricError"),
     ("1e400", ["count"], "MetricError"),

@@ -41,6 +41,13 @@ def test_non_square_rejected():
             validate_metric(bad)
 
 
+def test_boolean_entries_rejected():
+    with pytest.raises(MetricError, match=r"entry \(1,2\) is not a finite rational: True"):
+        validate_metric([[0, True, True], [True, 0, True], [True, True, 0]])
+    with pytest.raises(MetricError, match=r"entry \(1,1\) is not a finite rational: False"):
+        validate_metric([[False, 1], [1, 0]])
+
+
 def test_indexing_and_symmetry_access(metrics):
     d = metrics["two_cell"]
     assert d[0, 1] == 2
