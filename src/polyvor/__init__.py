@@ -23,7 +23,6 @@ from polyvor.curve import (
     circle_curve,
     hardy_weinberg_curve,
     hw_tangency_points,
-    hw_tangent,
     veronese_curve,
     veronese_point,
     veronese_tangent,

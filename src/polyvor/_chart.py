@@ -19,9 +19,6 @@ SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
 INV_HALF_SQRT3 = 2.0 / SQRT3
 
-# plotting-chart bounding box of the simplex triangle
-PLOT_BOX = (0.0, 1.0, 0.0, HALF_SQRT3)
-
 
 def chart2(coords):
     """Rational chart of a 3-coordinate point or vector: drop the last entry."""

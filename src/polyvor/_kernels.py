@@ -50,7 +50,7 @@ the label array is the only grid-sized allocation.
 
 import numpy as np
 
-from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3
+from polyvor._chart import HALF_SQRT3, plot_to_point
 
 OUTSIDE = -1
 TIE = -2
@@ -119,15 +119,14 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
     slack = SLACK_ULPS * np.finfo(np.float64).eps * scale
     kth = min(1, len(s1) - 1)                        # UB2; a lone sample's own UB
     for y0 in range(0, res, TILE):
-        t2 = (np.arange(y0, y0 + TILE) + 0.5) * dy * INV_HALF_SQRT3
-        t1 = px - 0.5 * t2[:, None]
-        t3 = 1.0 - t1 - t2[:, None]
-        inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2[:, None] >= 0.0)
+        y = (np.arange(y0, y0 + TILE) + 0.5)[:, None] * dy
+        t1, t2, t3 = plot_to_point(px, y)
+        inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2 >= 0.0)
         tiles = np.flatnonzero(inside.reshape(TILE, ntiles, TILE).any(axis=(0, 2)))
         if len(tiles) == 0:
             continue
         # min and max of a_f . t over the inside pixel centers of each tile
-        q = a0[:, None, None] * t1 + a1[:, None, None] * t2[:, None]
+        q = a0[:, None, None] * t1 + a1[:, None, None] * t2
         lo = np.where(inside, q, np.inf).reshape(-1, TILE, ntiles, TILE)
         hi = np.where(inside, q, -np.inf).reshape(-1, TILE, ntiles, TILE)
         lo = lo.min(axis=(1, 3))[:, tiles, None]
@@ -145,15 +144,13 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
         ends = np.cumsum(keep.sum(axis=1))
         c1, c2 = s1[cand], s2[cand]
         # every pixel of a tile is classified; only inside ones are kept
-        t2px = np.repeat(t2, TILE)[:, None]
+        t2px = np.repeat(t2, TILE)
         band = np.empty((TILE, ntiles * TILE), dtype=np.int64)
         start = 0
         for tile, end in zip(tiles, ends):
             x0 = tile * TILE
-            t1px = t1[:, x0:x0 + TILE].reshape(-1, 1)
-            d1 = c1[start:end] - t1px
-            dist = gauge(a0, a1, d1, c2[start:end] - t2px, np.empty_like(d1))
-            lab = _nearest(dist, tie_tol)[0]
+            lab = classify_points(t1[:, x0:x0 + TILE].reshape(-1), t2px, a0, a1,
+                                  c1[start:end], c2[start:end], tie_tol)[0]
             pos = lab >= 0
             lab[pos] = cand[start:end][lab[pos]]
             band[:, x0:x0 + TILE] = lab.reshape(TILE, TILE)
@@ -164,12 +161,13 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
 
 
 def classify_points(t1, t2, a0, a1, s1, s2, tie_tol):
-    """Classify loose rational-chart points (no grid); same arithmetic.
+    """Classify rational-chart points (t1, t2) by nearest sample (s1, s2).
 
+    Loose points and every tile of ``classify_grid`` go through here.
     Returns (labels, best, second) so callers can inspect margins.
     """
-    t1 = np.atleast_1d(np.asarray(t1, dtype=np.float64))
-    t2 = np.atleast_1d(np.asarray(t2, dtype=np.float64))
+    t1 = np.asarray(t1, dtype=np.float64).reshape(-1, 1)
+    t2 = np.asarray(t2, dtype=np.float64).reshape(-1, 1)
     dist = np.empty((len(t1), len(s1)))
-    gauge(a0, a1, s1 - t1[:, None], s2 - t2[:, None], dist)
+    gauge(a0, a1, s1 - t1, s2 - t2, dist)
     return _nearest(dist, tie_tol)

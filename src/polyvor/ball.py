@@ -25,7 +25,6 @@ from polyvor.transport import (
     AffinePoint,
     DimensionMismatch,
     DirectionVector,
-    as_affine_point,
     exact_point,
 )
 
@@ -120,7 +119,7 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     face list (with antipodal partners) are computed; the hull always has
     4 or 6 vertices.  For other n the ball stores generators only.
     """
-    c = exact_point(as_affine_point(center))
+    c = exact_point(center)
     r = Fraction(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -158,8 +157,8 @@ def face_cone_membership(x, face, y) -> bool:
     cones of proper faces are open (they exclude x).  All predicates are
     exact rational sign tests in the rational chart.
     """
-    x = exact_point(as_affine_point(x))
-    y = exact_point(as_affine_point(y))
+    x = exact_point(x)
+    y = exact_point(y)
     if face is None:
         return x.coords == y.coords
     ball = face.ball

@@ -34,16 +34,11 @@ def count_full_dim_cells_hw(d: FiniteMetric) -> CellCensus:
     it equals either, in which case a tangency degenerates).
     """
     report = hw_tangency_points(d)
-    d12, d13, d23 = d[0, 1], d[0, 2], d[1, 2]
-    if report.degenerate:
-        regime = "boundary"
-    elif d13 > d12 and d13 > d23:
-        regime = "strict_case_1"
-    elif d13 < d12 and d13 < d23:
-        regime = "strict_case_3"
-    else:
-        regime = "strict_case_2"
-    return CellCensus(len(report.entries), regime, report)
+    count = len(report.entries)
+    # with no degenerate record d13 equals neither d12 nor d23, so the
+    # count names the strict case
+    regime = "boundary" if report.degenerate else f"strict_case_{count}"
+    return CellCensus(count, regime, report)
 
 
 def full_dim_upper_bound(facet_count: int, dual_degree: int) -> Fraction:

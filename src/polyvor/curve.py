@@ -63,36 +63,22 @@ def veronese_tangent(n: int, p) -> DirectionVector:
     return DirectionVector(tuple(coords))
 
 
-def hw_tangent(p) -> DirectionVector:
-    """Tangent of the Hardy-Weinberg curve: (2p, 2-4p, 2p-2)."""
-    if not isinstance(p, float):
-        p = Fraction(p)
-    return DirectionVector((2 * p, 2 - 4 * p, 2 * p - 2))
-
-
 @dataclass(frozen=True)
 class ParametricCurve:
-    """A curve [0,1] -> simplex with a tangent field.
+    """A curve [0,1] -> simplex: a point map and its tangent field."""
 
-    ``degree_dual`` is the degree of the dual curve (2 for conics), used by
-    the cell-count bound; None when unknown.
-    """
-
-    name: str
     eval: Callable
     tangent: Callable
-    degree_dual: int = None
 
 
 def hardy_weinberg_curve() -> ParametricCurve:
-    return ParametricCurve("hardy-weinberg", lambda p: veronese_point(2, p),
-                           hw_tangent, degree_dual=2)
+    """The n = 2 Veronese curve; its tangent is (2p, 2-4p, 2p-2)."""
+    return veronese_curve(2)
 
 
 def veronese_curve(n: int) -> ParametricCurve:
-    return ParametricCurve(f"veronese-{n}", lambda p: veronese_point(n, p),
-                           lambda p: veronese_tangent(n, p),
-                           degree_dual=2 if n == 2 else None)
+    return ParametricCurve(lambda p: veronese_point(n, p),
+                           lambda p: veronese_tangent(n, p))
 
 
 def circle_curve(radius: float = 0.2) -> ParametricCurve:
@@ -113,7 +99,7 @@ def circle_curve(radius: float = 0.2) -> ParametricCurve:
         b = 2.0 * math.pi * rho * math.cos(th)
         return DirectionVector(_chart.plot_to_direction(a, b))
 
-    return ParametricCurve("circle", ev, tan, degree_dual=2)
+    return ParametricCurve(ev, tan)
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def validate_metric(matrix) -> FiniteMetric:
     return FiniteMetric(tuple(tuple(row) for row in m))
 
 
-def random_metric(n_states: int, seed: int, scale=1) -> FiniteMetric:
+def random_metric(n_states: int, seed: int) -> FiniteMetric:
     """Random valid metric on ``n_states`` points, deterministic per seed.
 
     Draws small random rationals for the off-diagonal entries and repairs
@@ -123,15 +123,12 @@ def random_metric(n_states: int, seed: int, scale=1) -> FiniteMetric:
     """
     if n_states < 2:
         raise MetricError("need at least 2 states")
-    scale = Fraction(scale)
-    if scale <= 0:
-        raise MetricError("scale must be positive")
     rng = random.Random(seed)
     k = n_states
     m = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            w = Fraction(rng.randint(1, 24), rng.randint(1, 4)) * scale
+            w = Fraction(rng.randint(1, 24), rng.randint(1, 4))
             m[i][j] = m[j][i] = w
     for l in range(k):
         for i in range(k):

@@ -85,15 +85,13 @@ def ball_svg(ball, path):
     svg.write(path)
 
 
-def overlay_svg(path, curve=None, ball=None, marks=()):
+def overlay_svg(path, curve, ball, marks):
     """Simplex triangle + curve + tangency marks + an example ball."""
     svg = _Svg()
     svg.polygon(TRIANGLE)
-    if curve is not None:
-        pts = [plot_xy(curve.eval(i / (CURVE_POINTS - 1)).coords)
-               for i in range(CURVE_POINTS)]
-        svg.polyline(pts)
-    if ball is not None and ball.hull_vertices:
+    svg.polyline([plot_xy(curve.eval(i / (CURVE_POINTS - 1)).coords)
+                  for i in range(CURVE_POINTS)])
+    if ball.hull_vertices:
         svg.polygon([plot_xy(v.coords) for v in ball.hull_vertices],
                     stroke="#b2541f", width=2.0)
     for m in marks:

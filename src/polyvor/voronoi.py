@@ -14,6 +14,7 @@ floated for the kernels.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from polyvor import _kernels
-from polyvor._chart import HALF_SQRT3, PLOT_BOX, chart2, plot_to_point, plot_xy
+from polyvor._chart import HALF_SQRT3, chart2, plot_to_point, plot_xy
 from polyvor.ball import unit_hull
 from polyvor.curve import ParametricCurve
 from polyvor.metrics import FiniteMetric
@@ -88,7 +89,6 @@ class CurveSample:
     index, and kernel labels are reported as representative indices.
     """
 
-    curve: ParametricCurve
     params: np.ndarray     # (k,) float parameters
     points: np.ndarray     # (k, 3) float simplex coordinates
     u1: np.ndarray         # (m,) rational-chart coords of unique points
@@ -113,7 +113,7 @@ class CurveSample:
         rep = np.array([min(g) for g in groups], dtype=np.int64)
         for arr in (params, pts, u1, u2, rep):
             arr.setflags(write=False)
-        return cls(curve, params, pts, u1, u2, rep)
+        return cls(params, pts, u1, u2, rep)
 
     @property
     def count(self) -> int:
@@ -167,7 +167,7 @@ def classify(point, sample: CurveSample, d: FiniteMetric,
 
 @dataclass(frozen=True)
 class VoronoiRaster:
-    """Pixel labels over the plotting-chart bounding box of the simplex.
+    """Pixel labels over the plotting-chart box [0,1] x [0,sqrt(3)/2].
 
     labels[iy, ix] is the representative sample index, OUTSIDE (-1) for
     pixels outside the simplex, or TIE (-2).  Row iy = 0 is the bottom.
@@ -175,8 +175,6 @@ class VoronoiRaster:
 
     resolution: int
     labels: np.ndarray
-    chart: tuple           # plotting-chart box (xmin, xmax, ymin, ymax)
-    tie_tolerance: float
     sample: CurveSample
 
     def pixel_counts(self) -> dict:
@@ -197,9 +195,17 @@ class VoronoiRaster:
 
 def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
                    tie_tolerance: float = DEFAULT_TIE_TOL) -> VoronoiRaster:
-    """Label a resolution^2 grid with nearest-sample indices under ``d``."""
+    """Label a resolution^2 grid with nearest-sample indices under ``d``.
+
+    The int64 label array may take at most a quarter of physical memory:
+    counting and rendering each make label-sized copies of it.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    size = 8 * resolution * resolution
+    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4:
+        raise ValueError(f"resolution {resolution} needs a {size} B label array, "
+                         "over a quarter of physical memory")
     _check_nonnegative("tie tolerance", tie_tolerance)
     _, a0, a1 = _facet_data(d)
     labels = _kernels.classify_grid(resolution, a0, a1, sample.u1, sample.u2,
@@ -207,7 +213,7 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     pos = labels >= 0
     labels[pos] = sample.rep[labels[pos]]
     labels.setflags(write=False)
-    return VoronoiRaster(resolution, labels, PLOT_BOX, tie_tolerance, sample)
+    return VoronoiRaster(resolution, labels, sample)
 
 
 @dataclass(frozen=True)
@@ -241,8 +247,7 @@ class DimensionCertificate:
     claimed_lower_bound: int
 
 
-def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
-                          tie_tolerance: float = DEFAULT_TIE_TOL):
+def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     """Search for a full-dimension certificate at a sample point.
 
     Witness candidates walk away from x along the perpendiculars of the
@@ -253,7 +258,6 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
     one facet functional (relative interior of an edge).  Returns a falsy
     NotFound when no candidate survives.
     """
-    _check_nonnegative("tie tolerance", tie_tolerance)
     exact, a0, a1 = _facet_data(d)
     idx = sample.nearest_index(point)
     p = as_affine_point(point)
@@ -299,15 +303,14 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric,
         for t in ts:
             for sgn in (1.0, -1.0):
                 trials += 1
-                wy = (x0 + sgn * t * nu[0], y0 + sgn * t * nu[1])
-                t1, t2, _ = plot_to_point(*wy)
-                lab, _, _ = _kernels.classify_points(t1, t2, a0, a1, sample.u1,
-                                                     sample.u2, tie_tolerance)
+                wy = plot_to_point(x0 + sgn * t * nu[0], y0 + sgn * t * nu[1])
+                lab, _, _ = _kernels.classify_points(wy[0], wy[1], a0, a1, sample.u1,
+                                                     sample.u2, DEFAULT_TIE_TOL)
                 if lab[0] != self_slot:
                     continue
 
                 # exact confirmation
-                y_ex = exact_point(AffinePoint(plot_to_point(*wy)))
+                y_ex = exact_point(wy)
                 w1 = x_ex.coords[0] - y_ex.coords[0]
                 w2 = x_ex.coords[1] - y_ex.coords[1]
                 vals = _facet_values(exact, w1, w2)

@@ -1,8 +1,11 @@
 """End-to-end CLI tests: in-process main(argv), JSON captured from stdout."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyvor import cli
 
@@ -223,6 +226,20 @@ def test_planar_commands_reject_four_states(tmp_path, capsys, argv, err, message
     assert text == json.dumps({"error": {"type": err, "message": message}}) + "\n"
 
 
+@pytest.mark.parametrize("command", ["raster", "check"])
+def test_resolution_over_the_memory_budget_is_json_error(tmp_path, capsys, command):
+    # a 728 TiB label array: refused before anything is allocated
+    argv = [command, "--resolution", "10000000", "--samples", "11"]
+    if command == "raster":
+        argv += ["--metric", metric_file(tmp_path, UNIT)]
+    code = cli.main(argv)
+    text = capsys.readouterr().out
+    assert code == 1
+    message = ("resolution 10000000 needs a 800000000000000 B label array, "
+               "over a quarter of physical memory")
+    assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
+
+
 def test_ball_of_two_states_has_no_hull(tmp_path, capsys):
     path = metric_file(tmp_path, [[0, 1], [1, 0]])
     code, out = run(["ball", "--metric", path, "--center", "1/2,1/2",
@@ -243,3 +260,81 @@ def test_check_all_pass(capsys):
                      "circle-tightness-quadrilateral"]
     assert all(i["pass"] for i in out["items"])
     assert captured.err.count("ok   ") == len(names)
+
+
+HOSTILE = ["nan", "inf", "1e400", "1/0", "", "٣", "-1e-13", "3/2"]
+MALFORMED = {
+    "nan.json": '{"d": [[0, NaN, 1], [NaN, 0, 1], [1, 1, 0]]}',
+    "huge.json": '{"d": [[0, 1e400, 1], [1e400, 0, 1], [1, 1, 0]]}',
+    "zero_den.json": '{"d": [[0, "1/0", 1], ["1/0", 0, 1], [1, 1, 0]]}',
+    "digit.json": '{"d": [[0, "٣", 1], ["٣", 0, 1], [1, 1, 0]]}',
+    "ragged.json": '{"d": [[0, 1], [1]]}',
+    "four.json": json.dumps({"d": FOUR_STATE}),
+    "list.json": "[]",
+    "text.json": "not json",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"unit.json": UNIT, "line.json": LINE, "two.json": TWO_CELL,
+             "three.json": THREE_CELL}
+    for name, rows in files.items():
+        (root / name).write_text(json.dumps({"d": rows}))
+    for name, text in MALFORMED.items():
+        (root / name).write_text(text)
+    return root
+
+
+def int_values(top):
+    """Integer flag values up to ``top``, and hostile ones int() may still take."""
+    return st.sampled_from([*map(str, range(-1, top + 1)), "٣", "nan", "1e400", "-1e-13"])
+
+
+@st.composite
+def hostile_argv(draw, root):
+    """argv for one subcommand, its values drawn from a hostile alphabet."""
+    valid = st.sampled_from(["unit.json", "line.json", "two.json", "three.json"])
+    invalid = st.sampled_from(["missing.json", *MALFORMED])
+    metric = str(root / draw(st.one_of(valid, invalid)))
+    value = st.sampled_from(HOSTILE + ["0", "1", "1/2", "1/3", "0.25", "2"])
+    point = st.one_of(st.lists(value, min_size=1, max_size=4).map(",".join),
+                      st.sampled_from(["1/3,1/3,1/3", "1,0,0", "0.5,0.25,0.25"]))
+    command = draw(st.sampled_from(["distance", "ball", "tangency", "count",
+                                    "bound", "raster"]))
+    if command == "distance":
+        argv = ["--mu", draw(point), "--nu", draw(point),
+                draw(st.sampled_from(["--exact", "--no-exact"]))]
+    elif command == "ball":
+        argv = ["--center", draw(point), "--radius", draw(value)]
+        if draw(st.booleans()):
+            argv += ["--svg", str(root / "ball.svg")]
+    elif command == "bound":
+        count = st.one_of(value, st.integers(-2, 12).map(str))
+        return ["bound", "--facets", draw(count), "--dual-degree", draw(count)]
+    elif command == "raster":
+        argv = ["--curve", draw(st.sampled_from(["hw", "circle"])),
+                "--resolution", draw(int_values(17)), "--samples", draw(int_values(7))]
+        for flag in ("--tie-tolerance", "--threshold", "--circle-radius"):
+            if draw(st.booleans()):
+                argv += [flag, draw(value)]
+        if draw(st.booleans()):
+            argv += ["--out", str(root / "r.ppm"), "--svg", str(root / "r.svg")]
+    else:
+        argv = []
+    return [command, "--metric", metric] + argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_hostile_argv_never_escapes_main(fuzz_dir, data):
+    argv = data.draw(hostile_argv(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()

@@ -16,7 +16,6 @@ from polyvor import (
     edge_directions,
     hardy_weinberg_curve,
     hw_tangency_points,
-    hw_tangent,
     validate_metric,
     veronese_curve,
     veronese_point,
@@ -47,8 +46,9 @@ def test_parameter_range():
 
 
 def test_hw_tangent_closed_form():
+    tangent = hardy_weinberg_curve().tangent
     for p in (F(0), F(1, 4), F(1, 2), F(9, 10)):
-        t = hw_tangent(p)
+        t = tangent(p)
         assert t.coords == (2 * p, 2 - 4 * p, 2 * p - 2)
         assert sum(t.coords) == 0
 
@@ -75,7 +75,6 @@ def test_hw_is_veronese_2():
     for p in (0.0, 0.3, 0.72, 1.0):
         assert np.allclose([float(c) for c in hw.eval(p).coords],
                            [float(c) for c in v2.eval(p).coords])
-    assert hw.degree_dual == 2
 
 
 def test_tangency_sets_exact(metrics):
@@ -142,9 +141,10 @@ def test_circle_points_on_circle():
 def test_tangency_direction_matches_tangent(metrics):
     """At p*, the curve tangent is parallel to the reported edge direction."""
     from polyvor._chart import chart2
+    tangent = hardy_weinberg_curve().tangent
     for name in ("unit", "two_cell", "three_cell"):
         rep = hw_tangency_points(metrics[name])
         for e in rep.entries:
-            t = chart2(hw_tangent(e.p_star).coords)
+            t = chart2(tangent(e.p_star).coords)
             u = chart2(e.direction.coords)
             assert t[0] * u[1] - t[1] * u[0] == 0

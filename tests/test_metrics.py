@@ -112,14 +112,6 @@ def test_random_metric_is_valid_and_deterministic():
                     assert d[i, j] == d[j, i]
 
 
-def test_random_metric_scale():
-    d = random_metric(3, 7)
-    scaled = random_metric(3, 7, scale=Fraction(3))
-    for i in range(3):
-        for j in range(3):
-            assert scaled[i, j] == 3 * d[i, j]
-
-
 def test_metric_hashable(metrics):
     seen = {metrics["unit"]: "a", metrics["line"]: "b"}
     assert seen[validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]])] == "a"

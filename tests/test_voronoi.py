@@ -145,6 +145,13 @@ def test_raster_is_deterministic(metrics):
         raster_voronoi(sample, metrics["unit"], 1)
 
 
+def test_raster_refuses_a_label_array_over_the_memory_budget(metrics):
+    # 8 * (10^7)^2 B is 728 TiB, so even a broken check fails fast
+    sample = sample_curve(HW, 11)
+    with pytest.raises(ValueError, match="over a quarter of physical memory"):
+        raster_voronoi(sample, metrics["unit"], 10**7)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
 def test_raster_parameters_checked_at_the_api(metrics, bad):
     sample = sample_curve(HW, 11)
