@@ -85,8 +85,8 @@ def circle_curve(radius: float = 0.2) -> ParametricCurve:
     """Plotting-chart circle about the centroid, p |-> angle 2*pi*p; a closed conic."""
     cx, cy = 0.5, _chart.HALF_SQRT3 / 3.0
     rho = float(radius)
-    if rho <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"circle radius must be finite and > 0, got {rho!r}")
 
     def ev(p):
         th = 2.0 * math.pi * p

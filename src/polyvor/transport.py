@@ -4,9 +4,21 @@
 coordinates.  Points live on the whole hyperplane: the polyhedral
 Wasserstein distance is a norm there, so balls, face cones and certificate
 witnesses may leave the simplex.  Only the two transport endpoints must be
-probability distributions, and ``wasserstein_distance`` checks that.  It
-solves the transportation LP with a dense network simplex that runs
-unchanged on Fractions (exact path) or floats.
+probability distributions, and ``wasserstein_distance`` checks that.
+
+``wasserstein_distance`` leaves min(mu_i, nu_i) in place at every state i
+and solves the transportation LP only from the excess states S (mu > nu)
+to the deficit states D (mu < nu).  That is optimal: any plan that routes
+mass i -> l -> j through a state l can send it i -> j directly at no more
+cost, by the triangle inequality d(i, j) <= d(i, l) + d(l, j), so some
+optimal plan keeps the common mass on the diagonal, moves only mu - nu
+and costs as much as the reduced |S| x |D| problem.  A dense network
+simplex solves that problem.  On the exact path the reduced supplies and
+demands are scaled by the lcm of their denominators, and the costs by the
+lcm of theirs, so every pivot runs on Python ints; a positive scaling
+keeps every comparison, so Bland's rule pivots as it would on Fractions,
+and the flow and total are divided back once.  The float path runs the
+same simplex on the reduced problem in floats.
 """
 
 from __future__ import annotations
@@ -161,8 +173,8 @@ class TransportPlan:
 def _network_simplex(supply, demand, cost, opt_tol):
     """Primal network simplex on a dense transportation instance.
 
-    Runs elementwise on whatever number type the inputs carry: Fractions
-    for the exact path (opt_tol = 0), floats otherwise.  Bland's smallest
+    Runs elementwise on whatever number type the inputs carry: ints for
+    the exact path (opt_tol = 0), floats otherwise.  Bland's smallest
     index rule picks both the entering arc and the leaving arc, so the
     exact path cannot cycle.  Returns (flow matrix, objective).
     """
@@ -258,10 +270,10 @@ def wasserstein_distance(mu, nu, d, *, exact=True):
     """Wasserstein distance between two simplex points under metric ``d``.
 
     Returns ``(cost, plan)`` where the plan attains the cost.  The exact
-    path (default) computes on Fractions; ``exact=False`` runs the same
-    simplex on floats with tolerances FEAS_TOL/OPT_TOL.  An endpoint with
-    an exact coordinate below 0, or a float one below -FEAS_TOL, raises
-    ValueError.
+    path (default) returns Fractions, computed on scaled integers;
+    ``exact=False`` runs the same simplex on floats with tolerances
+    FEAS_TOL/OPT_TOL.  An endpoint with an exact coordinate below 0, or a
+    float one below -FEAS_TOL, raises ValueError.
     """
     mu = as_affine_point(mu)
     nu = as_affine_point(nu)
@@ -272,7 +284,7 @@ def wasserstein_distance(mu, nu, d, *, exact=True):
         if min(p.coords) < (0 if p.is_exact else -FEAS_TOL):
             raise ValueError("transport endpoints must lie in the closed simplex")
 
-    num, opt_tol = (Fraction, 0) if exact else (float, OPT_TOL)
+    num = Fraction if exact else float
     if exact:
         mu, nu = exact_point(mu), exact_point(nu)
     sup = [max(num(c), num(0)) for c in mu.coords]
@@ -281,8 +293,30 @@ def wasserstein_distance(mu, nu, d, *, exact=True):
         # clamping can only have removed float slack; rebalance the largest entry
         sup[sup.index(max(sup))] += 1 - sum(sup)
         dem[dem.index(max(dem))] += 1 - sum(dem)
-    costm = [[num(d[i, j]) for j in range(k)] for i in range(k)]
-    flow, total = _network_simplex(sup, dem, costm, opt_tol)
+
+    # the mass min(sup_i, dem_i) stays at i; only the excess S moves to the deficit D
+    flow = [[num(0)] * k for _ in range(k)]
+    for i in range(k):
+        flow[i][i] = min(sup[i], dem[i])
+    S = [i for i in range(k) if sup[i] > dem[i]]
+    D = [j for j in range(k) if sup[j] < dem[j]]
+    rs = [sup[i] - dem[i] for i in S]
+    rd = [dem[j] - sup[j] for j in D]
+    rc = [[num(d[i, j]) for j in D] for i in S]
+    total = num(0)
+    if S and D:
+        if exact:
+            ms = math.lcm(*(x.denominator for x in rs + rd))
+            mc = math.lcm(*(c.denominator for row in rc for c in row))
+            rflow, total = _network_simplex([int(x * ms) for x in rs], [int(x * ms) for x in rd],
+                                            [[int(c * mc) for c in row] for row in rc], 0)
+            rflow = [[Fraction(x, ms) for x in row] for row in rflow]
+            total = Fraction(total, ms * mc)
+        else:
+            rflow, total = _network_simplex(rs, rd, rc, OPT_TOL)
+        for a, i in enumerate(S):
+            for b, j in enumerate(D):
+                flow[i][j] = rflow[a][b]
     plan = TransportPlan(tuple(tuple(r) for r in flow),
                          AffinePoint(tuple(sup)), AffinePoint(tuple(dem)))
     return total, plan

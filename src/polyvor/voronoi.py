@@ -148,19 +148,17 @@ def sample_curve(curve: ParametricCurve, count: int) -> CurveSample:
     return CurveSample.at_params(curve, np.linspace(0.0, 1.0, count))
 
 
-def classify(point, sample: CurveSample, d: FiniteMetric,
-             tie_tolerance: float = DEFAULT_TIE_TOL) -> int:
+def classify(point, sample: CurveSample, d: FiniteMetric) -> int:
     """Index of the strictly nearest sample, or TIE (-2) when ambiguous.
 
     Two samples tie when their distances differ by less than
-    ``tie_tolerance``; samples that coincide as points count as one.
+    DEFAULT_TIE_TOL; samples that coincide as points count as one.
     """
-    _check_nonnegative("tie tolerance", tie_tolerance)
     _, a0, a1 = _facet_data(d)
     p = as_affine_point(point)
     t1, t2 = float(p.coords[0]), float(p.coords[1])
     lab, _, _ = _kernels.classify_points(t1, t2, a0, a1,
-                                         sample.u1, sample.u2, tie_tolerance)
+                                         sample.u1, sample.u2, DEFAULT_TIE_TOL)
     out = int(lab[0])
     return out if out < 0 else int(sample.rep[out])
 

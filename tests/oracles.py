@@ -8,6 +8,9 @@ shares as little code with it as possible:
 * ``brute_force_distance`` -- the transport cost by enumerating every
   spanning tree of the complete bipartite graph, hopeless asymptotically,
   which is what makes it independent on small instances;
+* ``full_transport_distance`` -- the exact transport cost from the network
+  simplex on the whole k x k problem in Fractions, with no reduction to
+  the moved mass and no integer scaling;
 * ``face_cone_decomposition_check`` -- the face cones of a ball partition
   the plane;
 * ``half_ball_test`` -- the curve stays on one side of a line near a point;
@@ -36,6 +39,7 @@ from polyvor.transport import (
     DimensionMismatch,
     DirectionVector,
     Infeasible,
+    _network_simplex,
     as_affine_point,
     exact_point,
 )
@@ -257,6 +261,24 @@ def brute_force_distance(mu, nu, d) -> Fraction:
     if best is None:
         raise Infeasible("no feasible tree flow (unbalanced marginals?)")
     return Fraction(best, cden * denom)
+
+
+def full_transport_distance(mu, nu, d) -> Fraction:
+    """Exact transport cost from the network simplex on the whole k x k problem.
+
+    Every state is a source and a sink, the common mass min(mu_i, nu_i)
+    included, and the simplex pivots on Fractions; the endpoints are
+    clamped and rebalanced as ``wasserstein_distance`` does.
+    """
+    mu = exact_point(as_affine_point(mu))
+    nu = exact_point(as_affine_point(nu))
+    sup = [max(c, Fraction(0)) for c in mu.coords]
+    dem = [max(c, Fraction(0)) for c in nu.coords]
+    sup[sup.index(max(sup))] += 1 - sum(sup)
+    dem[dem.index(max(dem))] += 1 - sum(dem)
+    k = d.n_states
+    cost = [[Fraction(d[i, j]) for j in range(k)] for i in range(k)]
+    return _network_simplex(sup, dem, cost, 0)[1]
 
 
 # ---------------------------------------------------------------------------

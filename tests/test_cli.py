@@ -207,6 +207,16 @@ def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
         assert text == json.dumps({"error": {"type": err_type, "message": message}}) + "\n"
 
 
+@pytest.mark.parametrize("radius, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
+def test_non_finite_circle_radius_is_json_error(tmp_path, capsys, radius, shown):
+    code = cli.main(["raster", "--metric", metric_file(tmp_path, UNIT), "--curve", "circle",
+                     "--resolution", "8", "--samples", "11", "--circle-radius", radius])
+    text = capsys.readouterr().out
+    assert code == 1
+    message = f"circle radius must be finite and > 0, got {shown}"
+    assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
+
+
 FOUR_STATE = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
 
 

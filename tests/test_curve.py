@@ -69,14 +69,6 @@ def test_tangent_matches_finite_differences():
                 assert abs(float(tc) - fd) <= 1e-6 * scale
 
 
-def test_hw_is_veronese_2():
-    hw = hardy_weinberg_curve()
-    v2 = veronese_curve(2)
-    for p in (0.0, 0.3, 0.72, 1.0):
-        assert np.allclose([float(c) for c in hw.eval(p).coords],
-                           [float(c) for c in v2.eval(p).coords])
-
-
 def test_tangency_sets_exact(metrics):
     assert [e.p_star for e in hw_tangency_points(metrics["unit"]).entries] \
         == [F(1, 2)]

@@ -4,6 +4,8 @@ The spanning-tree brute force enumerates every basic feasible solution of
 the transportation polytope, so agreement with it on random instances is
 the strongest check we have short of an external LP solver.  The gauge LP
 (minimal generator combination) gives a second, geometry-flavored oracle.
+The full k x k simplex checks the reduction to the moved mass up to
+k = 12, and scipy's HiGHS checks the float cost up to k = 60.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyvor import (
     AffinePoint,
@@ -26,7 +29,14 @@ from polyvor import (
 from polyvor.ball import ball_generators
 from polyvor.metrics import random_metric
 
-from oracles import TooLarge, as_direction, brute_force_distance, exact_direction, gauge_distance
+from oracles import (
+    TooLarge,
+    as_direction,
+    brute_force_distance,
+    exact_direction,
+    full_transport_distance,
+    gauge_distance,
+)
 
 F = Fraction
 
@@ -103,7 +113,7 @@ def test_transport_plan_marginal_check(metrics):
 # sha256 of repr((cost, plan.flow)) over _pinned_solves(): costs and
 # marginals can hold while the flow moves to another optimal vertex, and
 # that shows here
-PLANS_SHA256 = "1b756b971e65386657bb1454e46d3048f2acdb43305dde4c3c5df97ba3b7302b"
+PLANS_SHA256 = "5dab756a3e94ffefd186befee8827b4e11f3b6092e708c46b776bdedf45bdb60"
 
 
 def _pinned_solves():
@@ -133,6 +143,30 @@ def test_plans_match_pinned_hash():
     for cost, plan in _pinned_solves():
         h.update(repr((cost, plan.flow)).encode())
     assert h.hexdigest() == PLANS_SHA256
+
+
+def _random_solves():
+    rng = np.random.default_rng(20261019)
+    for k in (3, 5, 8, 12, 20):
+        d = random_metric(k, 100 + k)
+        mu, nu = random_simplex_point(rng, k), random_simplex_point(rng, k)
+        fmu = tuple(float(c) for c in mu.coords)
+        fnu = tuple(float(c) for c in nu.coords)
+        yield wasserstein_distance(mu, nu, d)
+        yield wasserstein_distance(fmu, fnu, d, exact=False)
+
+
+@pytest.mark.parametrize("solves", [_pinned_solves, _random_solves])
+def test_plans_move_only_the_excess(solves):
+    """flow[i][i] = min(sup_i, dem_i); off the diagonal only S -> D carries mass."""
+    for cost, plan in solves():
+        sup, dem = plan.source.coords, plan.target.coords
+        k = len(sup)
+        for i in range(k):
+            assert plan.flow[i][i] == min(sup[i], dem[i])
+            for j in range(k):
+                if i != j and plan.flow[i][j] != 0:
+                    assert sup[i] > dem[i] and sup[j] < dem[j]
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -249,6 +283,51 @@ def test_translation_invariance_via_gauge(metrics):
         nu = random_simplex_point(rng, 3)
         cost, _ = wasserstein_distance(mu, nu, d)
         assert gauge_distance(mu, nu, gens) == cost
+
+
+@st.composite
+def transport_instances(draw):
+    """A random metric on 3..12 states and two rational simplex points."""
+    k = draw(st.integers(3, 12))
+    d = random_metric(k, draw(st.integers(0, 10 ** 6)))
+    points = []
+    for _ in range(2):
+        w = draw(st.lists(st.integers(0, 20), min_size=k, max_size=k))
+        w[draw(st.integers(0, k - 1))] += 1
+        points.append(AffinePoint(tuple(F(x, sum(w)) for x in w)))
+    return d, *points
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(transport_instances())
+def test_reduced_solve_equals_full_solve(instance):
+    d, mu, nu = instance
+    cost, plan = wasserstein_distance(mu, nu, d)
+    assert cost == full_transport_distance(mu, nu, d)
+    assert plan.cost(d) == cost
+    fmu = tuple(float(c) for c in mu.coords)
+    fnu = tuple(float(c) for c in nu.coords)
+    assert abs(wasserstein_distance(fmu, fnu, d, exact=False)[0] - float(cost)) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [20, 40, 60])
+def test_costs_match_highs(k):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(k)
+    d = random_metric(k, 7 * k)
+    mu, nu = random_simplex_point(rng, k), random_simplex_point(rng, k)
+    rows = np.kron(np.eye(k), np.ones(k))           # sum_j x_ij = mu_i
+    cols = np.kron(np.ones(k), np.eye(k))           # sum_i x_ij = nu_j
+    res = linprog(np.array([[float(d[i, j]) for j in range(k)] for i in range(k)]).ravel(),
+                  A_eq=np.vstack([rows, cols]),
+                  b_eq=np.array([float(c) for c in mu.coords + nu.coords]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    cost, _ = wasserstein_distance(mu, nu, d)
+    fcost, _ = wasserstein_distance(tuple(float(c) for c in mu.coords),
+                                    tuple(float(c) for c in nu.coords), d, exact=False)
+    assert abs(float(cost) - res.fun) <= 1e-9
+    assert abs(fcost - res.fun) <= 1e-9
 
 
 # ------------------------------------------------------------------- errors
