@@ -26,8 +26,11 @@ def chart2(coords):
 
 
 def plot_xy(coords):
-    """Plotting chart of a 3-coordinate point or vector."""
-    t1, t2 = float(coords[0]), float(coords[1])
+    """Plotting chart of a 3-coordinate point or vector, in floats.
+
+    Maps numpy columns too: ``plot_xy(points.T)`` charts every row.
+    """
+    t1, t2 = coords[0], coords[1]
     return t1 + 0.5 * t2, HALF_SQRT3 * t2
 
 

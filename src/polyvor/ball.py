@@ -4,7 +4,7 @@ The ball of radius r around c is the convex hull of the 2*C(n+1,2) points
 c + r*(e_i - e_j)/d_ij.  For n = 2 the hull of the unit ball is computed
 once per metric, exactly (monotone chain on Fraction coordinates in the
 rational chart), and always has 4 or 6 vertices; every ball is a scaled
-translate of it.  For higher n only the generators are stored.
+translate of it.  Balls are planar: other n raise DimensionMismatch.
 
 Face cones: for a face F of the ball centered at x, C_F(x) is the open
 cone of points seen from x through the relative interior of the antipodal
@@ -15,7 +15,7 @@ makes cell membership decidable by exact sign tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,8 +54,6 @@ def _hull_ccw(points):
     Collinear points are dropped, so every returned point is a vertex.
     """
     pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
     lower = []
     for p in pts:
         while len(lower) >= 2 and _orient(lower[-2], lower[-1], p) <= 0:
@@ -85,25 +83,23 @@ def unit_hull(d: FiniteMetric) -> tuple:
 class Face:
     """A proper face of a planar ball: a vertex (dim 0) or an edge (dim 1).
 
-    ``opposite`` indexes the antipodal face -F in the owning ball's face
-    list.  The back-reference to the ball is attached after construction
-    and excluded from equality.
+    Indices refer to the ball's lists: ``vertex_indices`` into its hull
+    vertices, ``opposite`` to the antipodal face -F in its face list.
     """
 
     dim: int
     vertex_indices: tuple
     opposite: int
-    ball: "PolyBall" = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class PolyBall:
-    """A Wasserstein ball conv{c + r*g}: exact hull data for n = 2."""
+    """A planar Wasserstein ball conv{c + r*g} with exact hull data."""
 
     center: AffinePoint
     radius: Fraction
     generators: tuple
-    hull_vertices: tuple   # CCW AffinePoints; empty for n != 2
+    hull_vertices: tuple   # CCW AffinePoints
     edges: tuple           # ((vertex index pair), inward normal) per edge
     faces: tuple           # vertex faces first, then edge faces
 
@@ -115,10 +111,12 @@ class PolyBall:
 def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     """Ball of radius ``radius`` around ``center`` under metric ``d``.
 
-    Exact throughout.  For n = 2 the hull, inward edge normals and the
-    face list (with antipodal partners) are computed; the hull always has
-    4 or 6 vertices.  For other n the ball stores generators only.
+    Exact throughout: the hull, inward edge normals and the face list
+    (with antipodal partners); the hull always has 4 or 6 vertices.
+    Planar only: other n raise DimensionMismatch.
     """
+    if d.n != 2:
+        raise DimensionMismatch("balls are built for n = 2")
     c = exact_point(center)
     r = Fraction(radius)
     if r <= 0:
@@ -126,9 +124,6 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     if len(c.coords) != d.n_states:
         raise DimensionMismatch("center dimension does not match the metric")
     gens = tuple(ball_generators(d))
-    if d.n != 2:
-        return PolyBall(c, r, gens, (), (), ())
-
     verts = tuple(c.translate(g, r) for g in unit_hull(d))
     m = len(verts)
     half = m // 2   # g_ji = -g_ij: vertex i faces vertex i + m/2
@@ -144,30 +139,23 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     faces = [Face(0, (i,), (i + half) % m) for i in range(m)]
     faces += [Face(1, pair, m + (a + half) % m) for a, (pair, _) in enumerate(edges)]
 
-    ball = PolyBall(c, r, gens, verts, tuple(edges), tuple(faces))
-    for f in faces:
-        object.__setattr__(f, "ball", ball)
-    return ball
+    return PolyBall(c, r, gens, verts, tuple(edges), tuple(faces))
 
 
-def face_cone_membership(x, face, y) -> bool:
-    """Is y in the cone C_F(x) of points seen from x through -F?
+def face_cone_membership(ball: PolyBall, face, y) -> bool:
+    """Is y in the cone C_F(x) of points seen from x = ball.center through -F?
 
-    ``face=None`` denotes the empty face, whose cone is {x} itself.  The
-    cones of proper faces are open (they exclude x).  All predicates are
-    exact rational sign tests in the rational chart.
+    ``face`` is None, the empty face whose cone is {x} itself, or one of
+    ``ball.faces``; anything else is a ValueError.  The cones of proper
+    faces are open (they exclude x).  All predicates are exact rational
+    sign tests in the rational chart.
     """
-    x = exact_point(x)
+    x = ball.center
     y = exact_point(y)
     if face is None:
         return x.coords == y.coords
-    ball = face.ball
-    if ball is None:
-        raise ValueError("face is not attached to a ball")
-    if exact_point(ball.center).coords != x.coords:
-        raise ValueError("face belongs to a ball not centered at x")
-    if not ball.hull_vertices:
-        raise ValueError("face cones need an explicit hull (n = 2)")
+    if face not in ball.faces:
+        raise ValueError("face is not a face of this ball")
 
     u = chart2((y - x).coords)
     if u == (0, 0):
@@ -180,16 +168,14 @@ def face_cone_membership(x, face, y) -> bool:
         cross = u[0] * a[1] - u[1] * a[0]
         dot = u[0] * a[0] + u[1] * a[1]
         return cross == 0 and dot > 0
-    if face.dim == 1:
-        p = ball.hull_vertices[opp.vertex_indices[0]]
-        q = ball.hull_vertices[opp.vertex_indices[1]]
-        av = chart2((p - x).coords)
-        bv = chart2((q - x).coords)
-        det = av[0] * bv[1] - av[1] * bv[0]
-        alpha = (u[0] * bv[1] - u[1] * bv[0]) / det
-        beta = (av[0] * u[1] - av[1] * u[0]) / det
-        return alpha > 0 and beta > 0
-    raise ValueError(f"unsupported face dimension {face.dim}")
+    p = ball.hull_vertices[opp.vertex_indices[0]]
+    q = ball.hull_vertices[opp.vertex_indices[1]]
+    av = chart2((p - x).coords)
+    bv = chart2((q - x).coords)
+    det = av[0] * bv[1] - av[1] * bv[0]
+    alpha = (u[0] * bv[1] - u[1] * bv[0]) / det
+    beta = (av[0] * u[1] - av[1] * u[0]) / det
+    return alpha > 0 and beta > 0
 
 
 def facet_count_bound(n: int) -> int:

@@ -64,9 +64,6 @@ class FiniteMetric:
         i, j = ij
         return self.entries[i][j]
 
-    def as_lists(self):
-        return [list(row) for row in self.entries]
-
 
 def _entry(x, i, j) -> Fraction:
     """One matrix entry as a Fraction; non-finite or malformed is a MetricError.
@@ -116,20 +113,21 @@ def validate_metric(matrix) -> FiniteMetric:
 def random_metric(n_states: int, seed: int) -> FiniteMetric:
     """Random valid metric on ``n_states`` points, deterministic per seed.
 
-    Draws small random rationals for the off-diagonal entries and repairs
-    triangle violations with a shortest-path (Floyd-Warshall) closure,
-    which preserves symmetry and positivity.  Rational entries keep exact
-    equalities reachable, so boundary strata of downstream counts do occur.
+    Draws small random rationals p/q (p in 1..24, q in 1..4) for the
+    off-diagonal entries and repairs triangle violations with a
+    shortest-path (Floyd-Warshall) closure, which preserves symmetry and
+    positivity.  The closure runs on the entries scaled by 12, a common
+    denominator, so it adds ints.  Rational entries keep exact equalities
+    reachable, so boundary strata of downstream counts do occur.
     """
     if n_states < 2:
         raise MetricError("need at least 2 states")
     rng = random.Random(seed)
     k = n_states
-    m = [[Fraction(0)] * k for _ in range(k)]
+    m = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            w = Fraction(rng.randint(1, 24), rng.randint(1, 4))
-            m[i][j] = m[j][i] = w
+            m[i][j] = m[j][i] = 12 * rng.randint(1, 24) // rng.randint(1, 4)
     for l in range(k):
         for i in range(k):
             for j in range(k):
@@ -138,4 +136,4 @@ def random_metric(n_states: int, seed: int) -> FiniteMetric:
                 via = m[i][l] + m[l][j]
                 if via < m[i][j]:
                     m[i][j] = via
-    return FiniteMetric(tuple(tuple(row) for row in m))
+    return FiniteMetric(tuple(tuple(Fraction(x, 12) for x in row) for row in m))

@@ -75,9 +75,8 @@ def ball_svg(ball, path):
     """Ball hull with its generator points inside the simplex triangle."""
     svg = _Svg()
     svg.polygon(TRIANGLE)
-    hull = [plot_xy(v.coords) for v in ball.hull_vertices]
-    if hull:
-        svg.polygon(hull, stroke="#b2541f", fill="#f4e0cf", width=2.0)
+    svg.polygon([plot_xy(v.coords) for v in ball.hull_vertices],
+                stroke="#b2541f", fill="#f4e0cf", width=2.0)
     for g in ball.generators:
         p = ball.center.translate(g, ball.radius)
         svg.dot(plot_xy(p.coords), r=3.0, fill="#7a7a7a")
@@ -91,9 +90,8 @@ def overlay_svg(path, curve, ball, marks):
     svg.polygon(TRIANGLE)
     svg.polyline([plot_xy(curve.eval(i / (CURVE_POINTS - 1)).coords)
                   for i in range(CURVE_POINTS)])
-    if ball.hull_vertices:
-        svg.polygon([plot_xy(v.coords) for v in ball.hull_vertices],
-                    stroke="#b2541f", width=2.0)
+    svg.polygon([plot_xy(v.coords) for v in ball.hull_vertices],
+                stroke="#b2541f", width=2.0)
     for m in marks:
         svg.dot(m)
     svg.write(path)

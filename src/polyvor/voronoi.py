@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from polyvor import _kernels
-from polyvor._chart import HALF_SQRT3, chart2, plot_to_point, plot_xy
+from polyvor._chart import chart2, plot_to_point, plot_xy
 from polyvor.ball import unit_hull
 from polyvor.curve import ParametricCurve
 from polyvor.metrics import FiniteMetric
@@ -80,6 +80,12 @@ def _check_nonnegative(name, value):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _check_memory(size, need):
+    """Refuse ``size`` bytes over a quarter of physical memory, before allocating."""
+    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4:
+        raise ValueError(f"{need}, over a quarter of physical memory")
+
+
 @dataclass(frozen=True)
 class CurveSample:
     """A finite sample of a curve, with chart arrays ready for the kernels.
@@ -119,14 +125,9 @@ class CurveSample:
     def count(self) -> int:
         return len(self.params)
 
-    def _plot_xy(self):
-        """Plotting-chart coordinates of every sample, as two arrays."""
-        t1, t2 = self.points[:, 0], self.points[:, 1]
-        return t1 + 0.5 * t2, HALF_SQRT3 * t2
-
     def spacing(self) -> float:
         """Max plotting-chart distance between consecutive samples."""
-        xs, ys = self._plot_xy()
+        xs, ys = plot_xy(self.points.T)
         dx, dy = np.diff(xs), np.diff(ys)
         return float(np.max(np.hypot(dx, dy))) if len(dx) else 0.0
 
@@ -134,7 +135,7 @@ class CurveSample:
         """Index of the sample nearest a point, in the plotting chart."""
         p = as_affine_point(point)
         x, y = plot_xy(p.coords)
-        xs, ys = self._plot_xy()
+        xs, ys = plot_xy(self.points.T)
         # math.hypot, not np.hypot: they differ in the last bit on about
         # 0.6 % of inputs, which could move a near tie to another sample
         h = list(map(math.hypot, (xs - x).tolist(), (ys - y).tolist()))
@@ -142,9 +143,15 @@ class CurveSample:
 
 
 def sample_curve(curve: ParametricCurve, count: int) -> CurveSample:
-    """Sample at ``count`` uniformly spaced parameters including endpoints."""
+    """Sample at ``count`` uniformly spaced parameters including endpoints.
+
+    ``CurveSample.at_params`` peaks near 260 B per sample, and the count is
+    refused when that exceeds a quarter of physical memory.
+    """
     if count < 2:
         raise ValueError("need at least 2 samples")
+    size = 260 * count
+    _check_memory(size, f"{count} samples need {size} B")
     return CurveSample.at_params(curve, np.linspace(0.0, 1.0, count))
 
 
@@ -195,15 +202,18 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
                    tie_tolerance: float = DEFAULT_TIE_TOL) -> VoronoiRaster:
     """Label a resolution^2 grid with nearest-sample indices under ``d``.
 
-    The int64 label array may take at most a quarter of physical memory:
-    counting and rendering each make label-sized copies of it.
+    The int64 label array, plus the kernel's per-band tile bounds (about
+    32 B per sample for each tile of a band), may take at most a quarter
+    of physical memory: counting and rendering each make label-sized
+    copies of the labels.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     size = 8 * resolution * resolution
-    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4:
-        raise ValueError(f"resolution {resolution} needs a {size} B label array, "
-                         "over a quarter of physical memory")
+    _check_memory(size, f"resolution {resolution} needs a {size} B label array")
+    size += 32 * -(-resolution // _kernels.TILE) * len(sample.u1)
+    _check_memory(size, f"resolution {resolution} with {len(sample.u1)} samples "
+                        f"needs {size} B of labels and tile bounds")
     _check_nonnegative("tie tolerance", tie_tolerance)
     _, a0, a1 = _facet_data(d)
     labels = _kernels.classify_grid(resolution, a0, a1, sample.u1, sample.u2,
@@ -260,7 +270,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     idx = sample.nearest_index(point)
     p = as_affine_point(point)
     x0, y0 = plot_xy(p.coords)
-    xs, ys = sample._plot_xy()
+    xs, ys = plot_xy(sample.points.T)
     if math.hypot(xs[idx] - x0, ys[idx] - y0) > 1e-9:
         raise ValueError("point is not a sample point")
 

@@ -285,16 +285,15 @@ def full_transport_distance(mu, nu, d) -> Fraction:
 # ball and curve geometry
 
 
-def face_cone_decomposition_check(center, points, ball) -> bool:
-    """Every point must land in exactly one face cone of the ball at center.
+def face_cone_decomposition_check(points, ball) -> bool:
+    """Every point must land in exactly one face cone of the ball.
 
     The empty face (cone {center}) participates, so the cones partition
     the plane and the check is a hard exactly-one count per point.
     """
-    x = exact_point(as_affine_point(center))
     faces = [None] + list(ball.faces)
     for q in points:
-        hits = sum(1 for f in faces if face_cone_membership(x, f, q))
+        hits = sum(1 for f in faces if face_cone_membership(ball, f, q))
         if hits != 1:
             return False
     return True

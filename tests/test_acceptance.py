@@ -258,7 +258,7 @@ def test_acceptance_09_property_suites(report):
         for _ in range(500):
             w = rng.integers(1, 40, size=3)
             pts.append(tuple(Fraction(int(a), int(w.sum())) for a in w))
-        cone_ok = cone_ok and face_cone_decomposition_check(center, pts, ball)
+        cone_ok = cone_ok and face_cone_decomposition_check(pts, ball)
 
     sym_ok = True
     for seed in range(25):
@@ -338,7 +338,7 @@ def _verify_certificate(cert, sample, d):
     ball = build_ball(y3, cert.epsilon, d)
     m = ball.vertex_count
     hits = [f for f in ball.faces
-            if face_cone_membership(cert.witness_y, f, cert.x.coords)]
+            if face_cone_membership(ball, f, cert.x.coords)]
     assert len(hits) == 1
     assert hits[0].dim == 1
     assert ball.faces[ball.faces[m + active[0]].opposite] == hits[0]

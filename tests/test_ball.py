@@ -203,7 +203,6 @@ def test_edge_normals_point_inward(metrics):
 
 def test_face_cone_membership_cases(metrics):
     d = metrics["unit"]
-    x = AffinePoint(CENTROID)
     ball = build_ball(CENTROID, F(1, 3), d)
     m = ball.vertex_count
     # a point through the interior of an antipodal edge: edge cone fires
@@ -214,16 +213,29 @@ def test_face_cone_membership_cases(metrics):
     face = next(f for f in ball.faces
                 if f.dim == 1 and tuple(f.vertex_indices) == (a, b))
     opp = ball.faces[face.opposite]
-    assert face_cone_membership(x, face, through)
-    assert not face_cone_membership(x, opp, through)
+    assert face_cone_membership(ball, face, through)
+    assert not face_cone_membership(ball, opp, through)
     # a vertex ray: vertex cone fires, neighboring edge cones do not
     v0 = ball.hull_vertices[0].coords
     ray = AffinePoint(tuple(c + 3 * (p - c) for c, p in zip(CENTROID, v0)))
     vface = ball.faces[0]
-    assert face_cone_membership(x, ball.faces[vface.opposite], ray)
+    assert face_cone_membership(ball, ball.faces[vface.opposite], ray)
     # the center belongs to the empty face only
-    assert face_cone_membership(x, None, x)
-    assert not face_cone_membership(x, ball.faces[0], x)
+    assert face_cone_membership(ball, None, CENTROID)
+    assert not face_cone_membership(ball, ball.faces[0], CENTROID)
+
+
+def test_face_cone_membership_refuses_a_face_of_another_ball(metrics):
+    hexagon = build_ball(CENTROID, F(1, 3), metrics["unit"])
+    quad = build_ball(CENTROID, F(1, 3), metrics["line"])
+    y = (F(1, 2), F(1, 4), F(1, 4))
+    for face in quad.faces:
+        with pytest.raises(ValueError, match="not a face of this ball"):
+            face_cone_membership(hexagon, face, y)
+    # a face record equal to one of the ball's own is one of its faces
+    twin = build_ball((F(1, 5), F(2, 5), F(2, 5)), F(1, 7), metrics["unit"])
+    assert [face_cone_membership(hexagon, f, y) for f in twin.faces] \
+        == [face_cone_membership(hexagon, f, y) for f in hexagon.faces]
 
 
 def test_face_cones_partition_random_points(metrics):
@@ -235,7 +247,7 @@ def test_face_cones_partition_random_points(metrics):
             a = F(int(rng.integers(-40, 41)), 120)
             b = F(int(rng.integers(-40, 41)), 120)
             pts.append(AffinePoint((F(1, 3) + a, F(1, 3) + b, F(1, 3) - a - b)))
-        assert face_cone_decomposition_check(AffinePoint(CENTROID), pts, ball)
+        assert face_cone_decomposition_check(pts, ball)
 
 
 def test_edge_directions_three_classes(metrics):

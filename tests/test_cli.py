@@ -250,12 +250,36 @@ def test_resolution_over_the_memory_budget_is_json_error(tmp_path, capsys, comma
     assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
 
 
-def test_ball_of_two_states_has_no_hull(tmp_path, capsys):
-    path = metric_file(tmp_path, [[0, 1], [1, 0]])
-    code, out = run(["ball", "--metric", path, "--center", "1/2,1/2",
-                     "--radius", "1/3"], capsys)
-    assert code == 0
-    assert out == {"vertex_count": 0, "vertices": [], "edges": []}
+@pytest.mark.parametrize("svg", [False, True], ids=["json", "svg"])
+@pytest.mark.parametrize("rows, center", [
+    ([[0, 1], [1, 0]], "1/2,1/2"),
+    (FOUR_STATE, "1/4,1/4,1/4,1/4"),
+], ids=["2-states", "4-states"])
+def test_ball_off_the_plane_is_json_error(tmp_path, capsys, rows, center, svg):
+    argv = ["ball", "--metric", metric_file(tmp_path, rows), "--center", center,
+            "--radius", "1/3"]
+    if svg:
+        argv += ["--svg", str(tmp_path / "ball.svg")]
+    code = cli.main(argv)
+    text = capsys.readouterr().out
+    assert code == 1
+    error = {"type": "DimensionMismatch", "message": "balls are built for n = 2"}
+    assert text == json.dumps({"error": error}) + "\n"
+    assert not (tmp_path / "ball.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["raster", "check"])
+def test_sample_count_over_the_memory_budget_is_json_error(tmp_path, capsys, command):
+    # 260 B per sample at 10^12 samples is 236 TiB: refused before sampling
+    argv = [command, "--resolution", "8", "--samples", str(10**12)]
+    if command == "raster":
+        argv += ["--metric", metric_file(tmp_path, UNIT)]
+    code = cli.main(argv)
+    text = capsys.readouterr().out
+    assert code == 1
+    message = ("1000000000000 samples need 260000000000000 B, "
+               "over a quarter of physical memory")
+    assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
 
 
 def test_check_all_pass(capsys):

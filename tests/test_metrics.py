@@ -1,5 +1,6 @@
 """Metric container and validation tests."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -105,11 +106,26 @@ def test_random_metric_is_valid_and_deterministic():
             d = random_metric(n, seed)
             again = random_metric(n, seed)
             assert d.entries == again.entries
-            assert validate_metric(d.as_lists()).entries == d.entries
+            assert validate_metric(d.entries).entries == d.entries
             for i in range(n):
                 for j in range(n):
                     assert isinstance(d[i, j], Fraction)
                     assert d[i, j] == d[j, i]
+
+
+# sha256 of random_metric(k, seed) for k in (3, 4, 6, 20, 40) and seeds 0..4,
+# pinned from the closure on Fractions that the integer closure replaced
+RANDOM_METRIC_SHA256 = "8b4a71bd09a9006a16df722d584e34e18d49e5950f0d59042c988039df4fb8c3"
+
+
+def test_random_metric_matches_pinned_hash():
+    h = hashlib.sha256()
+    for k in (3, 4, 6, 20, 40):
+        for seed in range(5):
+            d = random_metric(k, seed)
+            h.update(";".join(",".join(str(x) for x in row) for row in d.entries).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == RANDOM_METRIC_SHA256
 
 
 def test_metric_hashable(metrics):

@@ -21,6 +21,7 @@ from polyvor import (
     raster_voronoi,
     sample_curve,
 )
+from polyvor import _kernels
 from polyvor._chart import plot_xy
 from polyvor.voronoi import exact_gauge
 from polyvor._kernels import OUTSIDE, TIE
@@ -152,6 +153,20 @@ def test_raster_refuses_a_label_array_over_the_memory_budget(metrics):
         raster_voronoi(sample, metrics["unit"], 10**7)
 
 
+def test_raster_refuses_tile_bounds_over_the_memory_budget(metrics):
+    # 10^12 samples as zero-stride views: 32 B of tile bounds per sample
+    # is 29 TiB at R = 8, while the views hold five numbers
+    n = 10**12
+    row = np.broadcast_to(np.array([0.25, 0.5, 0.25]), (n, 3))
+    flat = np.broadcast_to(np.array(0.5), (n,))
+    sample = CurveSample(flat, row, flat, flat, np.broadcast_to(np.array(0), (n,)))
+    message = (f"resolution 8 with {n} samples needs {512 + 32 * n} B of labels "
+               "and tile bounds, over a quarter of physical memory")
+    with pytest.raises(ValueError) as err:
+        raster_voronoi(sample, metrics["unit"], 8)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
 def test_raster_parameters_checked_at_the_api(metrics, bad):
     sample = sample_curve(HW, 11)
@@ -261,6 +276,17 @@ def test_certificate_not_found_off_tangency(metrics):
     assert nf.trials > 0
 
 
+def test_exact_confirmation_decides_the_certificate(monkeypatch):
+    # with a float screen that passes every trial, the exact check alone
+    # must reject all 48 witnesses: each sees another sample within eps
+    sample = sample_curve(HW, 1001)
+    x = sample.points[70]                  # parameter 0.07
+    slot = int(np.argmin((sample.u1 - x[0]) ** 2 + (sample.u2 - x[1]) ** 2))
+    monkeypatch.setattr(_kernels, "classify_points",
+                        lambda *args: (np.array([slot]), None, None))
+    assert dimension_certificate(x, sample, random_metric(3, 0)) == NotFound(48)
+
+
 def test_certificate_requires_a_sample_point(metrics):
     sample = sample_curve(HW, 101)
     with pytest.raises(ValueError):
@@ -281,4 +307,4 @@ def test_face_cone_decomposition_random_points(metrics):
         v1 = ball.hull_vertices[1].coords
         pts.append(tuple(2 * a - c for a, c in zip(v0, center)))
         pts.append(tuple((a + b) / 2 for a, b in zip(v0, v1)))
-        assert face_cone_decomposition_check(center, pts, ball)
+        assert face_cone_decomposition_check(pts, ball)
