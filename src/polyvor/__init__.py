@@ -12,7 +12,6 @@ from polyvor.ball import (
     build_ball,
     edge_directions,
     face_cone_membership,
-    facet_count_bound,
 )
 from polyvor.counting import CellCensus, OddFacetCount, count_full_dim_cells_hw, full_dim_upper_bound
 from polyvor.curve import (
@@ -52,9 +51,7 @@ from polyvor.voronoi import (
     DimensionCertificate,
     NotFound,
     VoronoiRaster,
-    classify,
     dimension_certificate,
-    exact_gauge,
     raster_voronoi,
     sample_curve,
 )

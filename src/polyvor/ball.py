@@ -14,7 +14,6 @@ makes cell membership decidable by exact sign tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -176,13 +175,6 @@ def face_cone_membership(ball: PolyBall, face, y) -> bool:
     alpha = (u[0] * bv[1] - u[1] * bv[0]) / det
     beta = (av[0] * u[1] - av[1] * u[0]) / det
     return alpha > 0 and beta > 0
-
-
-def facet_count_bound(n: int) -> int:
-    """Facet count of any n-dimensional ball of this family: C(2n, n)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return math.comb(2 * n, n)
 
 
 def edge_directions(d: FiniteMetric):

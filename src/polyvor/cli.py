@@ -51,11 +51,11 @@ def fmt_seq(values):
 
 def cmd_distance(args):
     d = load_metric(args.metric)
-    cost, plan = wasserstein_distance(parse_point(args.mu), parse_point(args.nu),
-                                      d, exact=args.exact)
+    cost, plan = wasserstein_distance(parse_point(args.mu), parse_point(args.nu), d)
+    out = fmt if args.exact else float
     return {
-        "cost": fmt(cost),
-        "plan": [fmt_seq(row) for row in plan.flow],
+        "cost": out(cost),
+        "plan": [[out(v) for v in row] for row in plan.flow],
     }
 
 
@@ -200,7 +200,8 @@ def build_parser():
     p.add_argument("--mu", required=True, help='point, e.g. "1/2,1/2,0"')
     p.add_argument("--nu", required=True)
     p.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True,
-                   help="exact rational solver (default); --no-exact for floats")
+                   help="rational output (default); --no-exact rounds the exact "
+                        "answer to floats")
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("ball", help="Wasserstein ball hull around a center")

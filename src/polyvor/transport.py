@@ -13,12 +13,13 @@ mass i -> l -> j through a state l can send it i -> j directly at no more
 cost, by the triangle inequality d(i, j) <= d(i, l) + d(l, j), so some
 optimal plan keeps the common mass on the diagonal, moves only mu - nu
 and costs as much as the reduced |S| x |D| problem.  A dense network
-simplex solves that problem.  On the exact path the reduced supplies and
-demands are scaled by the lcm of their denominators, and the costs by the
-lcm of theirs, so every pivot runs on Python ints; a positive scaling
-keeps every comparison, so Bland's rule pivots as it would on Fractions,
-and the flow and total are divided back once.  The float path runs the
-same simplex on the reduced problem in floats.
+simplex solves that problem exactly: the reduced supplies and demands are
+scaled by the lcm of their denominators, and the costs by the lcm of
+theirs, so every pivot runs on Python ints; a positive scaling keeps
+every comparison, so Bland's rule pivots as it would on Fractions, and
+the flow and total are divided back once.  Float endpoints are taken at
+their exact binary values; a caller that wants floats rounds the exact
+answer.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-SUM_TOL = 1e-9     # float-path tolerance on sum(t) = 1 and sum(v) = 0
-FEAS_TOL = 1e-12   # float-path feasibility tolerance
-OPT_TOL = 1e-9     # float-path optimality tolerance
+SUM_TOL = 1e-9     # tolerance on sum(t) = 1 and sum(v) = 0 for float coordinates
+FEAS_TOL = 1e-12   # how far below 0 a float transport endpoint may reach
 
 
 class DimensionMismatch(ValueError):
@@ -108,9 +108,6 @@ class DirectionVector:
     def __neg__(self) -> "DirectionVector":
         return DirectionVector(tuple(-c for c in self.coords))
 
-    def __add__(self, other: "DirectionVector") -> "DirectionVector":
-        return DirectionVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def __sub__(self, other: "DirectionVector") -> "DirectionVector":
         return DirectionVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
@@ -152,17 +149,10 @@ class TransportPlan:
         k = len(self.source.coords)
         if len(self.flow) != k or any(len(r) != k for r in self.flow):
             raise ValueError("flow matrix shape does not match the marginals")
-        exact = _is_exact([x for row in self.flow for x in row])
         for i in range(k):
-            row = sum(self.flow[i])
-            col = sum(self.flow[j][i] for j in range(k))
-            if exact:
-                if row != self.source.coords[i] or col != self.target.coords[i]:
-                    raise Infeasible("flow marginals do not match the endpoints")
-            else:
-                if (abs(row - self.source.coords[i]) > FEAS_TOL
-                        or abs(col - self.target.coords[i]) > FEAS_TOL):
-                    raise Infeasible("flow marginals do not match the endpoints")
+            if (sum(self.flow[i]) != self.source.coords[i]
+                    or sum(self.flow[j][i] for j in range(k)) != self.target.coords[i]):
+                raise Infeasible("flow marginals do not match the endpoints")
 
     def cost(self, d) -> Fraction:
         """Total cost of the plan under the metric ``d``."""
@@ -170,19 +160,18 @@ class TransportPlan:
         return sum(d[i, j] * self.flow[i][j] for i in range(k) for j in range(k))
 
 
-def _network_simplex(supply, demand, cost, opt_tol):
+def _network_simplex(supply, demand, cost):
     """Primal network simplex on a dense transportation instance.
 
-    Runs elementwise on whatever number type the inputs carry: ints for
-    the exact path (opt_tol = 0), floats otherwise.  Bland's smallest
-    index rule picks both the entering arc and the leaving arc, so the
-    exact path cannot cycle.  Returns (flow matrix, objective).
+    Runs elementwise on exact numbers: ints from ``wasserstein_distance``,
+    Fractions from the test oracle.  Bland's smallest index rule picks both
+    the entering arc and the leaving arc, so it cannot cycle.  Returns
+    (flow matrix, objective).
     """
     m, n = len(supply), len(demand)
-    zero = sum(supply) * 0
 
     # northwest-corner initial basic feasible solution
-    flow = [[zero] * n for _ in range(m)]
+    flow = [[0] * n for _ in range(m)]
     basis = set()
     ra, rb = list(supply), list(demand)
     i = j = 0
@@ -196,7 +185,7 @@ def _network_simplex(supply, demand, cost, opt_tol):
             j += 1
         elif j == n - 1:
             i += 1
-        elif ra[i] <= zero:
+        elif ra[i] <= 0:
             i += 1
         else:
             j += 1
@@ -211,7 +200,7 @@ def _network_simplex(supply, demand, cost, opt_tol):
         pot = [None] * (m + n)
         parent = [None] * (m + n)
         depth = [0] * (m + n)
-        pot[0] = zero
+        pot[0] = 0
         stack = [0]
         while stack:
             u = stack.pop()
@@ -228,7 +217,7 @@ def _network_simplex(supply, demand, cost, opt_tol):
             for b in range(n):
                 if (a, b) in basis:
                     continue
-                if cost[a][b] - pot[a] - pot[m + b] < -opt_tol:
+                if cost[a][b] - pot[a] - pot[m + b] < 0:
                     entering = (a, b)
                     break
             if entering is not None:
@@ -256,7 +245,7 @@ def _network_simplex(supply, demand, cost, opt_tol):
             flow[a][b] -= theta
         for (a, b) in plus:
             flow[a][b] += theta
-        flow[leaving[0]][leaving[1]] = zero
+        flow[leaving[0]][leaving[1]] = 0
         basis.remove(leaving)
         basis.add(entering)
     else:
@@ -266,14 +255,14 @@ def _network_simplex(supply, demand, cost, opt_tol):
     return flow, total
 
 
-def wasserstein_distance(mu, nu, d, *, exact=True):
+def wasserstein_distance(mu, nu, d):
     """Wasserstein distance between two simplex points under metric ``d``.
 
-    Returns ``(cost, plan)`` where the plan attains the cost.  The exact
-    path (default) returns Fractions, computed on scaled integers;
-    ``exact=False`` runs the same simplex on floats with tolerances
-    FEAS_TOL/OPT_TOL.  An endpoint with an exact coordinate below 0, or a
-    float one below -FEAS_TOL, raises ValueError.
+    Returns ``(cost, plan)`` where the plan attains the cost, both in
+    Fractions, computed on scaled integers.  Float endpoints are taken at
+    their exact binary values, clamped at 0 and rebalanced.  An endpoint
+    with an exact coordinate below 0, or a float one below -FEAS_TOL,
+    raises ValueError.
     """
     mu = as_affine_point(mu)
     nu = as_affine_point(nu)
@@ -284,39 +273,31 @@ def wasserstein_distance(mu, nu, d, *, exact=True):
         if min(p.coords) < (0 if p.is_exact else -FEAS_TOL):
             raise ValueError("transport endpoints must lie in the closed simplex")
 
-    num = Fraction if exact else float
-    if exact:
-        mu, nu = exact_point(mu), exact_point(nu)
-    sup = [max(num(c), num(0)) for c in mu.coords]
-    dem = [max(num(c), num(0)) for c in nu.coords]
-    if exact:
-        # clamping can only have removed float slack; rebalance the largest entry
-        sup[sup.index(max(sup))] += 1 - sum(sup)
-        dem[dem.index(max(dem))] += 1 - sum(dem)
+    sup = [max(c, Fraction(0)) for c in exact_point(mu).coords]
+    dem = [max(c, Fraction(0)) for c in exact_point(nu).coords]
+    # clamping can only have removed float slack; rebalance the largest entry
+    sup[sup.index(max(sup))] += 1 - sum(sup)
+    dem[dem.index(max(dem))] += 1 - sum(dem)
 
     # the mass min(sup_i, dem_i) stays at i; only the excess S moves to the deficit D
-    flow = [[num(0)] * k for _ in range(k)]
+    flow = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
         flow[i][i] = min(sup[i], dem[i])
     S = [i for i in range(k) if sup[i] > dem[i]]
     D = [j for j in range(k) if sup[j] < dem[j]]
     rs = [sup[i] - dem[i] for i in S]
     rd = [dem[j] - sup[j] for j in D]
-    rc = [[num(d[i, j]) for j in D] for i in S]
-    total = num(0)
+    rc = [[Fraction(d[i, j]) for j in D] for i in S]
+    total = Fraction(0)
     if S and D:
-        if exact:
-            ms = math.lcm(*(x.denominator for x in rs + rd))
-            mc = math.lcm(*(c.denominator for row in rc for c in row))
-            rflow, total = _network_simplex([int(x * ms) for x in rs], [int(x * ms) for x in rd],
-                                            [[int(c * mc) for c in row] for row in rc], 0)
-            rflow = [[Fraction(x, ms) for x in row] for row in rflow]
-            total = Fraction(total, ms * mc)
-        else:
-            rflow, total = _network_simplex(rs, rd, rc, OPT_TOL)
+        ms = math.lcm(*(x.denominator for x in rs + rd))
+        mc = math.lcm(*(c.denominator for row in rc for c in row))
+        rflow, total = _network_simplex([int(x * ms) for x in rs], [int(x * ms) for x in rd],
+                                        [[int(c * mc) for c in row] for row in rc])
+        total = Fraction(total, ms * mc)
         for a, i in enumerate(S):
             for b, j in enumerate(D):
-                flow[i][j] = rflow[a][b]
+                flow[i][j] = Fraction(rflow[a][b], ms)
     plan = TransportPlan(tuple(tuple(r) for r in flow),
                          AffinePoint(tuple(sup)), AffinePoint(tuple(dem)))
     return total, plan

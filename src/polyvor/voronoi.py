@@ -68,13 +68,6 @@ def _facet_values(exact, w1, w2):
     return [a * w1 + b * w2 for a, b in exact]
 
 
-def exact_gauge(d: FiniteMetric, w) -> Fraction:
-    """Exact unit-ball gauge of a sum-zero vector via facet functionals."""
-    exact, _, _ = _facet_data(d)
-    w1, w2 = chart2(w.coords if hasattr(w, "coords") else tuple(w))
-    return max(_facet_values(exact, w1, w2))
-
-
 def _check_nonnegative(name, value):
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
@@ -153,21 +146,6 @@ def sample_curve(curve: ParametricCurve, count: int) -> CurveSample:
     size = 260 * count
     _check_memory(size, f"{count} samples need {size} B")
     return CurveSample.at_params(curve, np.linspace(0.0, 1.0, count))
-
-
-def classify(point, sample: CurveSample, d: FiniteMetric) -> int:
-    """Index of the strictly nearest sample, or TIE (-2) when ambiguous.
-
-    Two samples tie when their distances differ by less than
-    DEFAULT_TIE_TOL; samples that coincide as points count as one.
-    """
-    _, a0, a1 = _facet_data(d)
-    p = as_affine_point(point)
-    t1, t2 = float(p.coords[0]), float(p.coords[1])
-    lab, _, _ = _kernels.classify_points(t1, t2, a0, a1,
-                                         sample.u1, sample.u2, DEFAULT_TIE_TOL)
-    out = int(lab[0])
-    return out if out < 0 else int(sample.rep[out])
 
 
 @dataclass(frozen=True)

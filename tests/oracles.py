@@ -18,6 +18,10 @@ shares as little code with it as possible:
 * ``brute_classify_grid`` -- raster labels from every pixel x sample pair,
   the row kernel the tile-pruned ``classify_grid`` must reproduce.
 
+Two helpers at the end are not independent: ``exact_gauge`` and
+``classify`` read the library's own facet table (``_facet_data``), so they
+only give the tests an exact gauge and a single-point label.
+
 Only tests import this module; pytest puts ``tests/`` on ``sys.path``.
 """
 
@@ -30,8 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from polyvor import _chart
-from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, plot_xy
+from polyvor import _chart, _kernels
+from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, chart2, plot_xy
 from polyvor._kernels import OUTSIDE, _nearest, gauge
 from polyvor.ball import face_cone_membership
 from polyvor.curve import ParametricCurve
@@ -43,6 +47,7 @@ from polyvor.transport import (
     as_affine_point,
     exact_point,
 )
+from polyvor.voronoi import DEFAULT_TIE_TOL, _facet_data, _facet_values
 
 
 class TooLarge(ValueError):
@@ -278,7 +283,7 @@ def full_transport_distance(mu, nu, d) -> Fraction:
     dem[dem.index(max(dem))] += 1 - sum(dem)
     k = d.n_states
     cost = [[Fraction(d[i, j]) for j in range(k)] for i in range(k)]
-    return _network_simplex(sup, dem, cost, 0)[1]
+    return _network_simplex(sup, dem, cost)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,3 +426,29 @@ def brute_classify_grid(res, a0, a1, s1, s2, tie_tol):
         gauge(a0, a1, d1[:n], s2 - t2, dist[:n])
         labels[iy, inside] = _nearest(dist[:n], tie_tol)[0]
     return labels
+
+
+# ---------------------------------------------------------------------------
+# helpers on the library's facet table
+
+
+def exact_gauge(d, w) -> Fraction:
+    """Exact unit-ball gauge of a sum-zero vector via facet functionals."""
+    exact, _, _ = _facet_data(d)
+    w1, w2 = chart2(w.coords if hasattr(w, "coords") else tuple(w))
+    return max(_facet_values(exact, w1, w2))
+
+
+def classify(point, sample, d) -> int:
+    """Index of the strictly nearest sample, or TIE (-2) when ambiguous.
+
+    Two samples tie when their distances differ by less than
+    DEFAULT_TIE_TOL; samples that coincide as points count as one.
+    """
+    _, a0, a1 = _facet_data(d)
+    p = as_affine_point(point)
+    t1, t2 = float(p.coords[0]), float(p.coords[1])
+    lab, _, _ = _kernels.classify_points(t1, t2, a0, a1,
+                                         sample.u1, sample.u2, DEFAULT_TIE_TOL)
+    out = int(lab[0])
+    return out if out < 0 else int(sample.rep[out])

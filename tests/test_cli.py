@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,17 @@ def test_distance_float_mode(tmp_path, capsys):
                      "--mu", "0.5,0.25,0.25", "--nu", "0.25,0.5,0.25"], capsys)
     assert code == 0
     assert abs(out["cost"] - 0.25) < 1e-9
+
+
+def test_no_exact_prints_the_exact_answer_rounded(tmp_path, capsys):
+    argv = ["distance", "--metric", metric_file(tmp_path, UNIT),
+            "--mu", "0.1,0.1,0.8", "--nu", "0.1,0.05,0.85"]
+    code, exact = run(argv, capsys)
+    assert code == 0
+    code, rounded = run(argv + ["--no-exact"], capsys)
+    assert code == 0
+    assert rounded["cost"] == float(Fraction(exact["cost"])) == 0.05
+    assert rounded["plan"] == [[float(Fraction(v)) for v in row] for row in exact["plan"]]
 
 
 def test_distance_dimension_mismatch_is_json_error(tmp_path, capsys):
@@ -193,6 +205,8 @@ def test_boolean_metric_entries_are_json_errors(tmp_path, capsys, rows, cell):
            "--threshold", "-1"], "ValueError"),
     ("1", ["distance", "--mu", "3/2,-1/2,0", "--nu", "1,0,0"],
      "ValueError: transport endpoints must lie in the closed simplex"),
+    ("1", ["ball", "--center", "1/4,1/4,1/4,1/4", "--radius", "1/3"],
+     "DimensionMismatch: center dimension does not match the metric"),
 ])
 def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
                                                             entry, argv, err):

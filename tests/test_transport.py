@@ -5,7 +5,9 @@ the transportation polytope, so agreement with it on random instances is
 the strongest check we have short of an external LP solver.  The gauge LP
 (minimal generator combination) gives a second, geometry-flavored oracle.
 The full k x k simplex checks the reduction to the moved mass up to
-k = 12, and scipy's HiGHS checks the float cost up to k = 60.
+k = 12, and scipy's HiGHS checks the cost up to k = 60.  The solver is
+exact only: float endpoints are solved at their exact binary values, and
+their costs are checked against float references to 1e-9.
 """
 
 import hashlib
@@ -88,6 +90,11 @@ def test_point_difference_is_direction():
     assert (-v).coords == tuple(-c for c in v.coords)
     w = v * F(1, 3)
     assert sum(w.coords) == 0
+    r = AffinePoint((F(1, 2), F(1, 2)))
+    with pytest.raises(DimensionMismatch):
+        p - r
+    with pytest.raises(DimensionMismatch):
+        r.translate(v)
 
 
 def test_exact_point_absorbs_float_slack():
@@ -108,12 +115,14 @@ def test_transport_plan_marginal_check(metrics):
     bad = ((F(1, 2), F(0), F(0)), (F(0), F(1, 2), F(0)), (F(0),) * 3)
     with pytest.raises(Infeasible):
         TransportPlan(bad, mu, nu)
+    with pytest.raises(ValueError, match="shape"):
+        TransportPlan(flow[:2], mu, nu)
 
 
 # sha256 of repr((cost, plan.flow)) over _pinned_solves(): costs and
 # marginals can hold while the flow moves to another optimal vertex, and
 # that shows here
-PLANS_SHA256 = "5dab756a3e94ffefd186befee8827b4e11f3b6092e708c46b776bdedf45bdb60"
+PLANS_SHA256 = "811a7d749062525040c9d26816621b12876e53522e49ff2d79efc8177d6b43be"
 
 
 def _pinned_solves():
@@ -124,7 +133,6 @@ def _pinned_solves():
         fmu = tuple(float(c) for c in mu.coords)
         fnu = tuple(float(c) for c in nu.coords)
         yield wasserstein_distance(mu, nu, d)
-        yield wasserstein_distance(fmu, fnu, d, exact=False)
         yield wasserstein_distance(fmu, fnu, d)
     # float endpoint with a slightly negative coordinate: the exact path
     # clamps it to 0 and rebalances the largest entry
@@ -153,7 +161,7 @@ def _random_solves():
         fmu = tuple(float(c) for c in mu.coords)
         fnu = tuple(float(c) for c in nu.coords)
         yield wasserstein_distance(mu, nu, d)
-        yield wasserstein_distance(fmu, fnu, d, exact=False)
+        yield wasserstein_distance(fmu, fnu, d)
 
 
 @pytest.mark.parametrize("solves", [_pinned_solves, _random_solves])
@@ -169,8 +177,7 @@ def test_plans_move_only_the_excess(solves):
                     assert sup[i] > dem[i] and sup[j] < dem[j]
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_transport_endpoints_must_lie_in_the_simplex(metrics, exact):
+def test_transport_endpoints_must_lie_in_the_simplex(metrics):
     """Exact coordinates must be >= 0, float ones >= -FEAS_TOL = -1e-12."""
     d = metrics["unit"]
     inside = (F(1, 3),) * 3
@@ -179,10 +186,10 @@ def test_transport_endpoints_must_lie_in_the_simplex(metrics, exact):
                 (F(1, 2), F(1, 2) + tiny, -tiny)):
         for mu, nu in ((bad, inside), (inside, bad)):
             with pytest.raises(ValueError, match="closed simplex"):
-                wasserstein_distance(mu, nu, d, exact=exact)
+                wasserstein_distance(mu, nu, d)
     slack = (0.5, 0.5 + 1e-13, -1e-13)
     for mu, nu in ((slack, inside), (inside, slack)):
-        cost, plan = wasserstein_distance(mu, nu, d, exact=exact)
+        cost, plan = wasserstein_distance(mu, nu, d)
         assert abs(cost - F(1, 3)) < 1e-9 and min(plan.source.coords) >= 0
 
 
@@ -238,8 +245,7 @@ def test_solver_oracle_equivalence_random():
         assert g == exact_cost
         float_cost, _ = wasserstein_distance(
             as_affine_point(tuple(float(c) for c in mu.coords)),
-            as_affine_point(tuple(float(c) for c in nu.coords)), d,
-            exact=False)
+            as_affine_point(tuple(float(c) for c in nu.coords)), d)
         assert abs(float_cost - float(exact_cost)) <= 1e-9
 
 
@@ -307,7 +313,7 @@ def test_reduced_solve_equals_full_solve(instance):
     assert plan.cost(d) == cost
     fmu = tuple(float(c) for c in mu.coords)
     fnu = tuple(float(c) for c in nu.coords)
-    assert abs(wasserstein_distance(fmu, fnu, d, exact=False)[0] - float(cost)) <= 1e-9
+    assert abs(wasserstein_distance(fmu, fnu, d)[0] - float(cost)) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [20, 40, 60])
@@ -325,7 +331,7 @@ def test_costs_match_highs(k):
     assert res.status == 0
     cost, _ = wasserstein_distance(mu, nu, d)
     fcost, _ = wasserstein_distance(tuple(float(c) for c in mu.coords),
-                                    tuple(float(c) for c in nu.coords), d, exact=False)
+                                    tuple(float(c) for c in nu.coords), d)
     assert abs(float(cost) - res.fun) <= 1e-9
     assert abs(fcost - res.fun) <= 1e-9
 

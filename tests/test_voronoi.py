@@ -13,7 +13,6 @@ from polyvor import (
     ball_generators,
     build_ball,
     circle_curve,
-    classify,
     dimension_certificate,
     hardy_weinberg_curve,
     hw_tangency_points,
@@ -21,12 +20,17 @@ from polyvor import (
     raster_voronoi,
     sample_curve,
 )
-from polyvor import _kernels
+from polyvor import _kernels, voronoi
 from polyvor._chart import plot_xy
-from polyvor.voronoi import exact_gauge
 from polyvor._kernels import OUTSIDE, TIE
 
-from oracles import face_cone_decomposition_check, gauge_distance, half_ball_test
+from oracles import (
+    classify,
+    exact_gauge,
+    face_cone_decomposition_check,
+    gauge_distance,
+    half_ball_test,
+)
 
 HW = hardy_weinberg_curve()
 
@@ -285,6 +289,20 @@ def test_exact_confirmation_decides_the_certificate(monkeypatch):
     monkeypatch.setattr(_kernels, "classify_points",
                         lambda *args: (np.array([slot]), None, None))
     assert dimension_certificate(x, sample, random_metric(3, 0)) == NotFound(48)
+
+
+def test_witness_on_a_vertex_direction_is_rejected(monkeypatch, metrics):
+    # y - x = 2^-6 (-1, 1, 0) points at a vertex of the unit hexagon, so two
+    # facets attain eps and x is not in the relative interior of one facet:
+    # every trial must be rejected, though the sample check alone accepts it
+    sample = sample_curve(HW, 1001)
+    x = sample.points[500]                 # (1/4, 1/2, 1/4)
+    slot = int(np.argmin((sample.u1 - x[0]) ** 2 + (sample.u2 - x[1]) ** 2))
+    monkeypatch.setattr(_kernels, "classify_points",
+                        lambda *args: (np.array([slot]), None, None))
+    h = 2.0 ** -6
+    monkeypatch.setattr(voronoi, "plot_to_point", lambda *args: (0.25 - h, 0.5 + h, 0.25))
+    assert dimension_certificate(x, sample, metrics["unit"]) == NotFound(72)
 
 
 def test_certificate_requires_a_sample_point(metrics):
