@@ -177,20 +177,27 @@ def test_plans_move_only_the_excess(solves):
                     assert sup[i] > dem[i] and sup[j] < dem[j]
 
 
-def test_transport_endpoints_must_lie_in_the_simplex(metrics):
+@pytest.mark.parametrize("exact", [True, False])
+def test_transport_endpoints_must_lie_in_the_simplex(metrics, exact):
     """Exact coordinates must be >= 0, float ones >= -FEAS_TOL = -1e-12."""
     d = metrics["unit"]
     inside = (F(1, 3),) * 3
     tiny = F(1, 10 ** 30)
-    for bad in ((F(3, 2), F(-1, 2), F(0)), (0.5, 0.5 + 1e-11, -1e-11),
-                (F(1, 2), F(1, 2) + tiny, -tiny)):
+    if exact:
+        bads = ((F(3, 2), F(-1, 2), F(0)), (F(1, 2), F(1, 2) + tiny, -tiny))
+        edge = (F(1, 2), F(1, 2), F(0))
+    else:
+        bads = ((0.5, 0.5 + 1e-11, -1e-11),)
+        edge = (0.5, 0.5 + 1e-13, -1e-13)
+    for bad in bads:
         for mu, nu in ((bad, inside), (inside, bad)):
             with pytest.raises(ValueError, match="closed simplex"):
                 wasserstein_distance(mu, nu, d)
-    slack = (0.5, 0.5 + 1e-13, -1e-13)
-    for mu, nu in ((slack, inside), (inside, slack)):
+    for mu, nu in ((edge, inside), (inside, edge)):
         cost, plan = wasserstein_distance(mu, nu, d)
         assert abs(cost - F(1, 3)) < 1e-9 and min(plan.source.coords) >= 0
+        if exact:
+            assert cost == F(1, 3)
 
 
 # ------------------------------------------------------------ frozen oracles
