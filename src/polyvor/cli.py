@@ -1,8 +1,9 @@
 """Command line interface: JSON in, JSON out.
 
 Metrics are read from JSON files of the form {"d": [[...]]} whose entries
-are integers or rational strings "p/q".  Every subcommand prints a JSON
-object to stdout; rationals are emitted as strings so nothing is rounded.
+are integers or rational strings "p/q"; points and radii are read exactly,
+decimals too.  Every subcommand prints a JSON object to stdout; rationals
+are emitted as strings so nothing is rounded.
 Errors become {"error": {...}} with a nonzero exit code.
 """
 
@@ -32,10 +33,7 @@ def load_metric(path):
 
 
 def parse_point(text):
-    parts = [s.strip() for s in text.split(",")]
-    if any("." in s or "e" in s.lower() for s in parts):
-        return tuple(float(s) for s in parts)
-    return tuple(Fraction(s) for s in parts)
+    return tuple(metrics.rational(s) for s in text.split(","))
 
 
 def fmt(value):
@@ -61,7 +59,7 @@ def cmd_distance(args):
 
 def cmd_ball(args):
     d = load_metric(args.metric)
-    ball = build_ball(parse_point(args.center), Fraction(args.radius), d)
+    ball = build_ball(parse_point(args.center), metrics.rational(args.radius), d)
     out = {
         "vertex_count": ball.vertex_count,
         "vertices": [fmt_seq(v.coords) for v in ball.hull_vertices],
@@ -173,7 +171,7 @@ def cmd_check(args):
         m = metrics.random_metric(3, seed)
         cs = count_full_dim_cells_hw(m)
         formula = 1 + (m[0, 1] > m[0, 2]) + (m[1, 2] > m[0, 2])
-        agree += cs.count == formula == len(hw_tangency_points(m).entries)
+        agree += cs.count == formula == len(cs.report.entries)
     item("census-formula-300", agree == 300, f"{agree}/300 random metrics agree")
 
     circle = circle_curve()

@@ -3,7 +3,8 @@
 Cost matrices are stored as exact rationals (`fractions.Fraction`) so that
 everything computed from them downstream -- ball vertices, tangency
 parameters, cell counts -- stays exact.  Floats are accepted as input and
-converted to their exact binary value.
+converted to their exact binary value.  Strings -- matrix entries and the
+CLI's points and radii -- are read exactly by ``rational``: "0.1" is 1/10.
 """
 
 from __future__ import annotations
@@ -11,6 +12,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def rational(x) -> Fraction:
+    """``Fraction(x)``, refusing a string whose decimal exponent is over 4300.
+
+    Fraction expands the exponent into an int of that many digits, in time
+    that grows faster than the exponent; 4300 is the digit limit Python
+    puts on reading an int from a string.
+    """
+    if isinstance(x, str):
+        # the digits after the last "e"; the first five decide
+        exp = x.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exp.isdecimal() and int(exp[:5]) > 4300:
+            raise ValueError(f"exponent of {x!r} is over 4300 in magnitude")
+    return Fraction(x)
 
 
 class MetricError(ValueError):
@@ -72,7 +88,7 @@ def _entry(x, i, j) -> Fraction:
     """
     if not isinstance(x, bool):
         try:
-            return Fraction(x)
+            return rational(x)
         except (TypeError, ValueError, ArithmeticError):
             pass
     raise MetricError(f"entry ({i + 1},{j + 1}) is not a finite rational: {x!r}")

@@ -443,12 +443,11 @@ def classify(point, sample, d) -> int:
     """Index of the strictly nearest sample, or TIE (-2) when ambiguous.
 
     Two samples tie when their distances differ by less than
-    DEFAULT_TIE_TOL; samples that coincide as points count as one.
+    DEFAULT_TIE_TOL.
     """
     _, a0, a1 = _facet_data(d)
     p = as_affine_point(point)
     t1, t2 = float(p.coords[0]), float(p.coords[1])
     lab, _, _ = _kernels.classify_points(t1, t2, a0, a1,
                                          sample.u1, sample.u2, DEFAULT_TIE_TOL)
-    out = int(lab[0])
-    return out if out < 0 else int(sample.rep[out])
+    return int(lab[0])

@@ -60,6 +60,7 @@ def test_no_exact_prints_the_exact_answer_rounded(tmp_path, capsys):
             "--mu", "0.1,0.1,0.8", "--nu", "0.1,0.05,0.85"]
     code, exact = run(argv, capsys)
     assert code == 0
+    assert exact["cost"] == "1/20"          # decimals are read exactly
     code, rounded = run(argv + ["--no-exact"], capsys)
     assert code == 0
     assert rounded["cost"] == float(Fraction(exact["cost"])) == 0.05
@@ -207,6 +208,13 @@ def test_boolean_metric_entries_are_json_errors(tmp_path, capsys, rows, cell):
      "ValueError: transport endpoints must lie in the closed simplex"),
     ("1", ["ball", "--center", "1/4,1/4,1/4,1/4", "--radius", "1/3"],
      "DimensionMismatch: center dimension does not match the metric"),
+    # Fraction alone would expand each of these into a billion-digit int
+    ('"1e1000000000"', ["count"],
+     "MetricError: entry (1,2) is not a finite rational: '1e1000000000'"),
+    ("1", ["distance", "--mu", "1e1000000000,0,0", "--nu", "1,0,0"],
+     "ValueError: exponent of '1e1000000000' is over 4300 in magnitude"),
+    ("1", ["ball", "--center", "1/3,1/3,1/3", "--radius", "1e-1000000000"],
+     "ValueError: exponent of '1e-1000000000' is over 4300 in magnitude"),
 ])
 def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
                                                             entry, argv, err):
@@ -308,6 +316,16 @@ def test_check_all_pass(capsys):
                      "circle-tightness-quadrilateral"]
     assert all(i["pass"] for i in out["items"])
     assert captured.err.count("ok   ") == len(names)
+
+
+def test_check_exits_1_when_an_item_fails(monkeypatch, capsys):
+    # a zero bound fails both circle-tightness items
+    monkeypatch.setattr(cli, "full_dim_upper_bound", lambda *args: 0)
+    code = cli.main(["check", "--resolution", "32", "--samples", "51"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["all_pass"] is False
+    assert "FAIL circle-tightness-hexagon" in captured.err
 
 
 HOSTILE = ["nan", "inf", "1e400", "1/0", "", "٣", "-1e-13", "3/2"]

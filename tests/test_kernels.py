@@ -29,7 +29,7 @@ PINNED_LABELS = {
     ("line", "hw"): "714d846d8f2f32dfcf28945c5173193b8d080b4ebe8679c35af6c644ad000d15",
     ("two_cell", "hw"): "c2fed2dcc1673ef730d38545f5c6c33855c9b934b31c224a34c4641198ade795",
     ("three_cell", "hw"): "f6e447a045805bbe2a4996173e3eed4d79bffc366649c3dec7ac215cd57d720d",
-    ("unit", "circle"): "f7a13ce65b2205513c174f02313cec2bbb1a4a7a8fb12a28143c31eb24a89793",
+    ("unit", "circle"): "c5594d00feac64697c121ee65e3b22edc1b5051e4aafafc2a2dac94af6e49911",
 }
 
 

@@ -25,6 +25,7 @@ from polyvor._chart import plot_xy
 from polyvor._kernels import OUTSIDE, TIE
 
 from oracles import (
+    brute_classify_grid,
     classify,
     exact_gauge,
     face_cone_decomposition_check,
@@ -111,12 +112,32 @@ def test_sample_curve_basic_properties():
         sample_curve(HW, 1)
 
 
-def test_circle_sample_seam_merges():
-    s = sample_curve(circle_curve(), 1001)
-    assert s.count == 1001
-    assert len(s.u1) == 1000            # endpoints coincide as points
-    assert 0 in set(int(r) for r in s.rep)
-    assert 1000 not in set(int(r) for r in s.rep)
+def test_closed_sample_drops_its_repeated_endpoint():
+    # grouping the points in coordinate order kept both seam points at
+    # (0.7, 151), so their shared cell read TIE
+    for radius, n in ((0.2, 1001), (0.7, 151), (0.7, 301)):
+        s = sample_curve(circle_curve(radius), n)
+        assert s.count == len(s.u1) == n - 1
+        assert s.params[-1] < 1.0
+        gap = np.hypot(s.u1[:, None] - s.u1, s.u2[:, None] - s.u2)
+        np.fill_diagonal(gap, np.inf)
+        assert gap.min() > 1e-12
+    # the seam is one sample, so its cell has no everywhere-tied twin
+    raster = raster_voronoi(sample_curve(circle_curve(0.7), 151), random_metric(3, 0), 96)
+    assert int((raster.labels == TIE).sum()) == 0
+
+
+def test_exact_ties_go_to_the_lowest_sample_index():
+    # at tie tolerance 0, 420 pixels are exactly as near samples 37 and 38
+    # of this circle; the first-index rule gives them to 37 (coordinate
+    # order would give them to 38)
+    d = random_metric(3, 2)
+    s = sample_curve(circle_curve(0.2), 151)
+    _, a0, a1 = voronoi._facet_data(d)
+    labels = raster_voronoi(s, d, 96, tie_tolerance=0.0).labels
+    want = brute_classify_grid(96, a0, a1, s.points[:, 0], s.points[:, 1], 0.0)
+    assert np.array_equal(labels, want)
+    assert int((labels == 37).sum()) == 442
 
 
 def test_sample_chart_geometry_matches_per_sample_scan():
@@ -163,7 +184,7 @@ def test_raster_refuses_tile_bounds_over_the_memory_budget(metrics):
     n = 10**12
     row = np.broadcast_to(np.array([0.25, 0.5, 0.25]), (n, 3))
     flat = np.broadcast_to(np.array(0.5), (n,))
-    sample = CurveSample(flat, row, flat, flat, np.broadcast_to(np.array(0), (n,)))
+    sample = CurveSample(flat, row, flat, flat)
     message = (f"resolution 8 with {n} samples needs {512 + 32 * n} B of labels "
                "and tile bounds, over a quarter of physical memory")
     with pytest.raises(ValueError) as err:
@@ -285,9 +306,8 @@ def test_exact_confirmation_decides_the_certificate(monkeypatch):
     # must reject all 48 witnesses: each sees another sample within eps
     sample = sample_curve(HW, 1001)
     x = sample.points[70]                  # parameter 0.07
-    slot = int(np.argmin((sample.u1 - x[0]) ** 2 + (sample.u2 - x[1]) ** 2))
     monkeypatch.setattr(_kernels, "classify_points",
-                        lambda *args: (np.array([slot]), None, None))
+                        lambda *args: (np.array([70]), None, None))
     assert dimension_certificate(x, sample, random_metric(3, 0)) == NotFound(48)
 
 
@@ -297,9 +317,8 @@ def test_witness_on_a_vertex_direction_is_rejected(monkeypatch, metrics):
     # every trial must be rejected, though the sample check alone accepts it
     sample = sample_curve(HW, 1001)
     x = sample.points[500]                 # (1/4, 1/2, 1/4)
-    slot = int(np.argmin((sample.u1 - x[0]) ** 2 + (sample.u2 - x[1]) ** 2))
     monkeypatch.setattr(_kernels, "classify_points",
-                        lambda *args: (np.array([slot]), None, None))
+                        lambda *args: (np.array([500]), None, None))
     h = 2.0 ** -6
     monkeypatch.setattr(voronoi, "plot_to_point", lambda *args: (0.25 - h, 0.5 + h, 0.25))
     assert dimension_certificate(x, sample, metrics["unit"]) == NotFound(72)
