@@ -2,9 +2,8 @@
 
 Cost matrices are stored as exact rationals (`fractions.Fraction`) so that
 everything computed from them downstream -- ball vertices, tangency
-parameters, cell counts -- stays exact.  Floats are accepted as input and
-converted to their exact binary value.  Strings -- matrix entries and the
-CLI's points and radii -- are read exactly by ``rational``: "0.1" is 1/10.
+parameters, cell counts -- stays exact.  Floats are taken at their exact
+binary value; strings are read exactly by ``rational``: "0.1" is 1/10.
 """
 
 from __future__ import annotations
@@ -15,16 +14,13 @@ from fractions import Fraction
 
 
 def rational(x) -> Fraction:
-    """``Fraction(x)``, refusing a string whose decimal exponent is over 4300.
-
-    Fraction expands the exponent into an int of that many digits, in time
-    that grows faster than the exponent; 4300 is the digit limit Python
-    puts on reading an int from a string.
-    """
+    """``Fraction(x)``, refusing a string exponent over 4300 (Python's int-digit limit)."""
     if isinstance(x, str):
-        # the digits after the last "e"; the first five decide
-        exp = x.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-        if exp.isdecimal() and int(exp[:5]) > 4300:
+        # Fraction would build 10 ** exponent, in time growing faster than the
+        # exponent; the first five digits after the last "e" decide
+        _, e, exp = x.lower().rpartition("e")
+        exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and exp.isdecimal() and int(exp[:5]) > 4300:
             raise ValueError(f"exponent of {x!r} is over 4300 in magnitude")
     return Fraction(x)
 

@@ -83,9 +83,9 @@ def _check_memory(size, need):
 class CurveSample:
     """A finite sample of a curve, with chart arrays ready for the kernels.
 
-    Raster labels and certificates name a sample by its sample index in
-    ``params``.  When the last point coincides with the first (a closed
-    curve's seam), that last sample is dropped: the seam is one sample.
+    Raster labels and certificates name a sample by its index in ``params``.
+    The params must name distinct points, except that a closed curve's last
+    point may repeat its first: that last sample is dropped (the seam).
     """
 
     params: np.ndarray     # (k,) float parameters
@@ -285,15 +285,24 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
 
                 # exact confirmation
                 y_ex = exact_point(wy)
-                y1, y2 = y_ex.coords[0], y_ex.coords[1]
-                vals = _facet_values(exact, x_ex.coords[0] - y1, x_ex.coords[1] - y2)
+                w1 = x_ex.coords[0] - y_ex.coords[0]
+                w2 = x_ex.coords[1] - y_ex.coords[1]
+                vals = _facet_values(exact, w1, w2)
                 eps = max(vals)
-                if eps <= 0 or vals.count(eps) != 1:
+                if eps <= 0 or sum(1 for v in vals if v == eps) != 1:
                     continue
-                others = (s for k, s in enumerate(zip(sample.u1.tolist(), sample.u2.tolist()))
-                          if k != idx)
-                if all(max(_facet_values(exact, Fraction(s1) - y1, Fraction(s2) - y2)) > eps
-                       for s1, s2 in others):
+                ok = True
+                for k in range(sample.count):
+                    if k == idx:
+                        continue
+                    s1 = Fraction(float(sample.u1[k]))
+                    s2 = Fraction(float(sample.u2[k]))
+                    dv = max(_facet_values(exact, s1 - y_ex.coords[0],
+                                           s2 - y_ex.coords[1]))
+                    if dv <= eps:
+                        ok = False
+                        break
+                if ok:
                     return DimensionCertificate(x_ex, y_ex, eps, 1, 2)
     return NotFound(trials)
 

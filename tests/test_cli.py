@@ -229,6 +229,18 @@ def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
         assert text == json.dumps({"error": {"type": err_type, "message": message}}) + "\n"
 
 
+def test_whole_number_strings_are_not_exponents(tmp_path, capsys):
+    # "5000" has no "e", so its digits are no exponent over 4300
+    rows = [[0, "5000", "10000"], ["5000", 0, "5000"], ["10000", "5000", 0]]
+    code, out = run(["count", "--metric", metric_file(tmp_path, rows)], capsys)
+    assert code == 0
+    assert out["count"] == 1
+    code, out = run(["ball", "--metric", metric_file(tmp_path, UNIT),
+                     "--center", "1/3,1/3,1/3", "--radius", "5000"], capsys)
+    assert code == 0
+    assert ["15001/3", "1/3", "-14999/3"] in out["vertices"]
+
+
 @pytest.mark.parametrize("radius, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
 def test_non_finite_circle_radius_is_json_error(tmp_path, capsys, radius, shown):
     code = cli.main(["raster", "--metric", metric_file(tmp_path, UNIT), "--curve", "circle",

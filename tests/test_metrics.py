@@ -30,6 +30,10 @@ def test_validate_examples(metrics):
 def test_string_rational_entries():
     d = validate_metric([[0, "1/2"], ["1/2", 0]])
     assert d[0, 1] == Fraction(1, 2)
+    d = validate_metric([[0, "10000"], ["10000", 0]])     # no "e": no exponent
+    assert d[0, 1] == 10000
+    with pytest.raises(MetricError, match=r"entry \(1,2\) is not a finite rational"):
+        validate_metric([[0, "1e5000"], ["1e5000", 0]])
 
 
 def test_non_square_rejected():
