@@ -117,6 +117,36 @@ def test_count_three_cell(tmp_path, capsys):
     assert out["parameters"] == ["1/3", "1/2", "2/3"]
 
 
+DEGENERATE_D1 = ["d12 == d13: case (a) tangency degenerates to p = 0",
+                 "d23 == d13: case (b) tangency degenerates to p = 1"]
+
+
+# the full JSON of the worked metrics, edge directions and degenerate
+# records included (no tight metric: its repeated parameters are a known
+# defect, not a behaviour to keep)
+@pytest.mark.parametrize("rows, tangency, count", [
+    (UNIT,
+     {"entries": [{"p": "1/2", "case": "c", "direction": ["1", "0", "-1"]}],
+      "degenerate": DEGENERATE_D1},
+     {"count": 1, "regime": "boundary", "parameters": ["1/2"]}),
+    (TWO_CELL,
+     {"entries": [{"p": "2/3", "case": "c", "direction": ["1/2", "-1/4", "-1/4"]},
+                  {"p": "4/5", "case": "b", "direction": ["1/3", "-1/4", "-1/12"]}],
+      "degenerate": []},
+     {"count": 2, "regime": "strict_case_2", "parameters": ["2/3", "4/5"]}),
+    (THREE_CELL,
+     {"entries": [{"p": "1/3", "case": "a", "direction": ["-1/2", "-1/2", "1"]},
+                  {"p": "1/2", "case": "c", "direction": ["1/2", "0", "-1/2"]},
+                  {"p": "2/3", "case": "b", "direction": ["1", "-1/2", "-1/2"]}],
+      "degenerate": []},
+     {"count": 3, "regime": "strict_case_3", "parameters": ["1/3", "1/2", "2/3"]}),
+], ids=["d1", "d2", "d3"])
+def test_tangency_and_count_json_pinned(tmp_path, capsys, rows, tangency, count):
+    path = metric_file(tmp_path, rows)
+    assert run(["tangency", "--metric", path], capsys) == (0, tangency)
+    assert run(["count", "--metric", path], capsys) == (0, count)
+
+
 def test_bound_values(capsys):
     code, out = run(["bound", "--facets", "6", "--dual-degree", "2"], capsys)
     assert code == 0
