@@ -13,15 +13,18 @@ from polyvor.ball import (
     edge_directions,
     face_cone_membership,
 )
-from polyvor.counting import CellCensus, OddFacetCount, count_full_dim_cells_hw, full_dim_upper_bound
+from polyvor.counting import (
+    CellCensus,
+    OddFacetCount,
+    TangencyEntry,
+    count_full_dim_cells_hw,
+    full_dim_upper_bound,
+)
 from polyvor.curve import (
     ParameterOutOfRange,
     ParametricCurve,
-    TangencyEntry,
-    TangencyReport,
     circle_curve,
     hardy_weinberg_curve,
-    hw_tangency_points,
     veronese_curve,
     veronese_point,
     veronese_tangent,

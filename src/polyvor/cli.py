@@ -18,7 +18,7 @@ from polyvor import _kernels, metrics, render
 from polyvor._chart import plot_xy
 from polyvor.ball import build_ball
 from polyvor.counting import count_full_dim_cells_hw, full_dim_upper_bound
-from polyvor.curve import circle_curve, hardy_weinberg_curve, hw_tangency_points, veronese_point
+from polyvor.curve import circle_curve, hardy_weinberg_curve, veronese_point
 from polyvor.metrics import MetricError, validate_metric
 from polyvor.transport import wasserstein_distance
 from polyvor.voronoi import DEFAULT_TIE_TOL, FULL_DIM_THRESHOLD, raster_voronoi, sample_curve
@@ -39,7 +39,11 @@ def parse_point(text):
 def fmt(value):
     """JSON-safe scalar: Fractions as 'p/q' strings, floats as floats."""
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            # Python refuses to print an int of over 4300 digits
+            raise ValueError("a rational in the output has over 4300 digits") from None
     return value
 
 
@@ -74,12 +78,12 @@ def cmd_ball(args):
 
 def cmd_tangency(args):
     d = load_metric(args.metric)
-    report = hw_tangency_points(d)
+    census = count_full_dim_cells_hw(d)
     return {
         "entries": [{"p": fmt(e.p_star), "case": e.edge_case,
                      "direction": fmt_seq(e.direction.coords)}
-                    for e in report.entries],
-        "degenerate": list(report.degenerate),
+                    for e in census.entries],
+        "degenerate": list(census.degenerate),
     }
 
 
@@ -126,9 +130,8 @@ def cmd_raster(args):
     if args.svg:
         marks = []
         if args.curve == "hw":
-            report = hw_tangency_points(d)
-            marks = [plot_xy(veronese_point(2, e.p_star).coords)
-                     for e in report.entries]
+            marks = [plot_xy(veronese_point(2, p).coords)
+                     for p in count_full_dim_cells_hw(d).parameters]
         ball = build_ball((Fraction(1, 3),) * 3, Fraction(1, 8), d)
         render.overlay_svg(args.svg, curve=curve, ball=ball, marks=marks)
         out["svg"] = args.svg
@@ -153,14 +156,13 @@ def cmd_check(args):
     item("ball-dichotomy", m1 == 6 and m2 == 4,
          f"hexagon {m1} vertices, quadrilateral {m2} vertices")
 
-    got = [tuple(e.p_star for e in hw_tangency_points(m).entries)
-           for m in (d1, d2, d3)]
+    census = [count_full_dim_cells_hw(m) for m in (d1, d2, d3)]
+    got = [cs.parameters for cs in census]
     want = [(Fraction(1, 2),),
             (Fraction(2, 3), Fraction(4, 5)),
             (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))]
     item("tangency-sets", got == want, f"{[fmt_seq(g) for g in got]}")
 
-    census = [count_full_dim_cells_hw(m) for m in (d1, d2, d3)]
     item("census-counts", [cs.count for cs in census] == [1, 2, 3],
          f"counts {[cs.count for cs in census]}")
 

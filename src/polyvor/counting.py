@@ -1,12 +1,27 @@
-"""Counts of full-dimensional Voronoi cells, exact and as an upper bound."""
+"""Counts of full-dimensional Voronoi cells, exact and as an upper bound.
+
+A Voronoi cell of a point x on the Hardy-Weinberg curve is
+full-dimensional exactly when some edge of the ball is tangent to the
+curve at x, so the census counts ball-edge tangencies.  Tangency
+parameters for the three edge-direction classes of a planar ball (closed
+form, exact):
+
+    (a) exists iff d12 > d13, at p = (d12 - d13) / (2 d12 - d13)
+    (b) exists iff d23 > d13, at p = d23 / (2 d23 - d13)
+    (c) always exists,        at p = d23 / (d12 + d23)
+
+When d13 equals d12 or d23 the corresponding tangency degenerates (the
+parameter leaves (0,1)); this is reported, not silently dropped.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from polyvor.curve import TangencyReport, hw_tangency_points
+from polyvor.ball import edge_directions
 from polyvor.metrics import FiniteMetric
+from polyvor.transport import DirectionVector
 
 
 class OddFacetCount(ValueError):
@@ -14,31 +29,57 @@ class OddFacetCount(ValueError):
 
 
 @dataclass(frozen=True)
+class TangencyEntry:
+    p_star: Fraction
+    edge_case: str          # 'a', 'b' or 'c'
+    direction: DirectionVector
+
+
+@dataclass(frozen=True)
 class CellCensus:
     """Full-dimensional Voronoi cell count of the HW curve under a metric."""
 
-    count: int
-    regime: str             # strict_case_1|2|3 or boundary
-    report: TangencyReport
+    entries: tuple          # TangencyEntry, sorted by p_star
+    degenerate: tuple       # human-readable records of equality coincidences
+
+    @property
+    def count(self) -> int:
+        return len(self.entries)
+
+    @property
+    def regime(self) -> str:
+        # boundary when d13 equals d12 or d23; else the count names the strict case
+        return "boundary" if self.degenerate else f"strict_case_{self.count}"
 
     @property
     def parameters(self):
-        return tuple(e.p_star for e in self.report.entries)
+        return tuple(e.p_star for e in self.entries)
 
 
 def count_full_dim_cells_hw(d: FiniteMetric) -> CellCensus:
     """Census of full-dimensional cells: 1 + [d12 > d13] + [d23 > d13].
 
-    The count is the number of ball-edge tangencies along the curve; the
-    regime records where d13 sits relative to d12 and d23 (boundary when
-    it equals either, in which case a tangency degenerates).
+    One entry per ball-edge tangency along the curve, by the closed form.
     """
-    report = hw_tangency_points(d)
-    count = len(report.entries)
-    # with no degenerate record d13 equals neither d12 nor d23, so the
-    # count names the strict case
-    regime = "boundary" if report.degenerate else f"strict_case_{count}"
-    return CellCensus(count, regime, report)
+    dir_a, dir_b, dir_c = edge_directions(d)
+    d12, d13, d23 = d[0, 1], d[0, 2], d[1, 2]
+    entries = []
+    degenerate = []
+
+    if d12 > d13:
+        entries.append(TangencyEntry((d12 - d13) / (2 * d12 - d13), "a", dir_a))
+    elif d12 == d13:
+        degenerate.append("d12 == d13: case (a) tangency degenerates to p = 0")
+
+    if d23 > d13:
+        entries.append(TangencyEntry(d23 / (2 * d23 - d13), "b", dir_b))
+    elif d23 == d13:
+        degenerate.append("d23 == d13: case (b) tangency degenerates to p = 1")
+
+    entries.append(TangencyEntry(d23 / (d12 + d23), "c", dir_c))
+
+    entries.sort(key=lambda e: e.p_star)
+    return CellCensus(tuple(entries), tuple(degenerate))
 
 
 def full_dim_upper_bound(facet_count: int, dual_degree: int) -> Fraction:

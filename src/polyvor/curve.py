@@ -1,20 +1,9 @@
-"""Parametric curves in the simplex and ball-edge tangency points.
+"""Parametric curves in the simplex.
 
 The Hardy-Weinberg curve is the image of p |-> (p^2, 2p(1-p), (1-p)^2),
-the n = 2 Veronese curve of binomial densities.  A Voronoi cell of a point
-x on the curve is full-dimensional exactly when some edge of the ball is
-tangent to the curve at x, so the tangency parameters below are the whole
-story for the census module.
-
-Tangency parameters for the three edge-direction classes of a planar
-ball (closed form, exact):
-
-    (a) exists iff d12 > d13, at p = (d12 - d13) / (2 d12 - d13)
-    (b) exists iff d23 > d13, at p = d23 / (2 d23 - d13)
-    (c) always exists,        at p = d23 / (d12 + d23)
-
-When d13 equals d12 or d23 the corresponding tangency degenerates (the
-parameter leaves (0,1)); this is reported, not silently dropped.
+the n = 2 Veronese curve of binomial densities; its ball-edge tangencies
+are counted in ``polyvor.counting``.  The circle is a closed conic in the
+plotting chart.
 """
 
 from __future__ import annotations
@@ -25,8 +14,6 @@ from fractions import Fraction
 from typing import Callable
 
 from polyvor import _chart
-from polyvor.ball import edge_directions
-from polyvor.metrics import FiniteMetric
 from polyvor.transport import AffinePoint, DirectionVector
 
 
@@ -100,40 +87,4 @@ def circle_curve(radius: float = 0.2) -> ParametricCurve:
         return DirectionVector(_chart.plot_to_direction(a, b))
 
     return ParametricCurve(ev, tan)
-
-
-@dataclass(frozen=True)
-class TangencyEntry:
-    p_star: Fraction
-    edge_case: str          # 'a', 'b' or 'c'
-    direction: DirectionVector
-
-
-@dataclass(frozen=True)
-class TangencyReport:
-    entries: tuple          # TangencyEntry, sorted by p_star
-    degenerate: tuple       # human-readable records of equality coincidences
-
-
-def hw_tangency_points(d: FiniteMetric) -> TangencyReport:
-    """Exact tangency parameters of ball edges along the HW curve."""
-    dir_a, dir_b, dir_c = edge_directions(d)
-    d12, d13, d23 = d[0, 1], d[0, 2], d[1, 2]
-    entries = []
-    degenerate = []
-
-    if d12 > d13:
-        entries.append(TangencyEntry((d12 - d13) / (2 * d12 - d13), "a", dir_a))
-    elif d12 == d13:
-        degenerate.append("d12 == d13: case (a) tangency degenerates to p = 0")
-
-    if d23 > d13:
-        entries.append(TangencyEntry(d23 / (2 * d23 - d13), "b", dir_b))
-    elif d23 == d13:
-        degenerate.append("d23 == d13: case (b) tangency degenerates to p = 1")
-
-    entries.append(TangencyEntry(d23 / (d12 + d23), "c", dir_c))
-
-    entries.sort(key=lambda e: e.p_star)
-    return TangencyReport(tuple(entries), tuple(degenerate))
 

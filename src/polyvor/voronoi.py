@@ -213,16 +213,14 @@ class DimensionCertificate:
     """Witness that a sample's cell is full-dimensional.
 
     The ball of radius ``epsilon`` around ``witness_y`` touches the sample
-    set only at ``x``, and x lies in the relative interior of a facet
-    (face_dim = 1), so the cell of x contains a neighborhood of y and has
-    dimension >= claimed_lower_bound.  Exact-rational data throughout.
+    set only at ``x``, and x lies in the relative interior of a facet (a
+    face of dimension 1), so the cell of x contains a neighborhood of y and
+    has dimension >= 2.  Exact-rational data throughout.
     """
 
     x: AffinePoint
     witness_y: AffinePoint
     epsilon: Fraction
-    face_dim: int
-    claimed_lower_bound: int
 
 
 def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
@@ -238,11 +236,13 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     """
     exact, a0, a1 = _facet_data(d)
     idx = sample.nearest_index(point)
-    p = as_affine_point(point)
-    x0, y0 = plot_xy(p.coords)
+    px, py = plot_xy(as_affine_point(point).coords)
     xs, ys = plot_xy(sample.points.T)
-    if math.hypot(xs[idx] - x0, ys[idx] - y0) > 1e-9:
+    if math.hypot(xs[idx] - px, ys[idx] - py) > 1e-9:
         raise ValueError("point is not a sample point")
+    # certify the sample itself, not the caller's point near it
+    x = tuple(float(c) for c in sample.points[idx])
+    x0, y0 = plot_xy(x)
 
     # tangent estimate from neighbors, central difference when possible
     lo, hi = max(idx - 1, 0), min(idx + 1, sample.count - 1)
@@ -269,7 +269,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
         t *= 0.5
     ts.append(max(floor, 1e-6))
 
-    x_ex = exact_point(p)
+    x_ex = exact_point(x)
     trials = 0
     for ex, ey in edges:
         h = math.hypot(ex, ey)
@@ -303,6 +303,6 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
                         ok = False
                         break
                 if ok:
-                    return DimensionCertificate(x_ex, y_ex, eps, 1, 2)
+                    return DimensionCertificate(x_ex, y_ex, eps)
     return NotFound(trials)
 

@@ -342,7 +342,7 @@ def half_ball_test(point, normal, curve: ParametricCurve, r: float = 0.05,
 def planar_tangency_points(curve: ParametricCurve, direction, bracket_count: int = 256):
     """Parameters where the curve's tangent is parallel to ``direction``.
 
-    Numeric counterpart of ``hw_tangency_points``: sign changes of the
+    Numeric counterpart of ``count_full_dim_cells_hw``: sign changes of the
     plotting-chart cross product are bracketed on a uniform grid and
     bisected to 1e-12.  Open curves report interior parameters only; on
     closed curves (endpoints coincide) a tangency at the seam is reported

@@ -271,6 +271,19 @@ def test_whole_number_strings_are_not_exponents(tmp_path, capsys):
     assert ["15001/3", "1/3", "-14999/3"] in out["vertices"]
 
 
+@pytest.mark.parametrize("rows, argv", [
+    (UNIT, ["ball", "--center", "1/3,1/3,1/3", "--radius", "1e4300"]),
+    # d13 == d12 == 10^4300 and d23 = 1: case (c) sits at p = 1/(10^4300 + 1)
+    ([[0, "1e4300", "1e4300"], ["1e4300", 0, 1], ["1e4300", 1, 0]], ["tangency"]),
+], ids=["ball", "tangency"])
+def test_output_rationals_over_4300_digits_are_json_errors(tmp_path, capsys, rows, argv):
+    code = cli.main(argv[:1] + ["--metric", metric_file(tmp_path, rows)] + argv[1:])
+    text = capsys.readouterr().out
+    assert code == 1
+    message = "a rational in the output has over 4300 digits"
+    assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
+
+
 @pytest.mark.parametrize("radius, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
 def test_non_finite_circle_radius_is_json_error(tmp_path, capsys, radius, shown):
     code = cli.main(["raster", "--metric", metric_file(tmp_path, UNIT), "--curve", "circle",

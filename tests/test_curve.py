@@ -13,9 +13,9 @@ import pytest
 from polyvor import (
     ParameterOutOfRange,
     circle_curve,
+    count_full_dim_cells_hw,
     edge_directions,
     hardy_weinberg_curve,
-    hw_tangency_points,
     validate_metric,
     veronese_curve,
     veronese_point,
@@ -70,16 +70,14 @@ def test_tangent_matches_finite_differences():
 
 
 def test_tangency_sets_exact(metrics):
-    assert [e.p_star for e in hw_tangency_points(metrics["unit"]).entries] \
-        == [F(1, 2)]
-    assert [e.p_star for e in hw_tangency_points(metrics["two_cell"]).entries] \
-        == [F(2, 3), F(4, 5)]
-    assert [e.p_star for e in hw_tangency_points(metrics["three_cell"]).entries] \
-        == [F(1, 3), F(1, 2), F(2, 3)]
+    assert count_full_dim_cells_hw(metrics["unit"]).parameters == (F(1, 2),)
+    assert count_full_dim_cells_hw(metrics["two_cell"]).parameters == (F(2, 3), F(4, 5))
+    assert count_full_dim_cells_hw(metrics["three_cell"]).parameters \
+        == (F(1, 3), F(1, 2), F(2, 3))
 
 
 def test_tangency_edge_cases_labelled(metrics):
-    rep = hw_tangency_points(metrics["three_cell"])
+    rep = count_full_dim_cells_hw(metrics["three_cell"])
     cases = {e.p_star: e.edge_case for e in rep.entries}
     assert cases == {F(1, 3): "a", F(1, 2): "c", F(2, 3): "b"}
     assert not rep.degenerate
@@ -87,7 +85,7 @@ def test_tangency_edge_cases_labelled(metrics):
 
 def test_degenerate_tangencies_reported():
     # d12 == d13 and d23 == d13: both strict cases collapse
-    rep = hw_tangency_points(validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+    rep = count_full_dim_cells_hw(validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
     assert len(rep.entries) == 1
     assert len(rep.degenerate) == 2
     for msg in rep.degenerate:
@@ -98,7 +96,7 @@ def test_planar_root_finder_agrees_with_closed_form(metrics):
     hw = hardy_weinberg_curve()
     for name in ("unit", "two_cell", "three_cell"):
         d = metrics[name]
-        want = sorted(float(e.p_star) for e in hw_tangency_points(d).entries)
+        want = sorted(float(p) for p in count_full_dim_cells_hw(d).parameters)
         got = set()
         for direction in edge_directions(d):
             for r in planar_tangency_points(hw, direction):
@@ -135,7 +133,7 @@ def test_tangency_direction_matches_tangent(metrics):
     from polyvor._chart import chart2
     tangent = hardy_weinberg_curve().tangent
     for name in ("unit", "two_cell", "three_cell"):
-        rep = hw_tangency_points(metrics[name])
+        rep = count_full_dim_cells_hw(metrics[name])
         for e in rep.entries:
             t = chart2(tangent(e.p_star).coords)
             u = chart2(e.direction.coords)

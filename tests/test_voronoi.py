@@ -13,9 +13,9 @@ from polyvor import (
     ball_generators,
     build_ball,
     circle_curve,
+    count_full_dim_cells_hw,
     dimension_certificate,
     hardy_weinberg_curve,
-    hw_tangency_points,
     random_metric,
     raster_voronoi,
     sample_curve,
@@ -255,8 +255,7 @@ def test_raster_confirms_tangency_census_frozen_seeds(seed):
     finer grid than a regression test can afford.
     """
     d = random_metric(3, seed)
-    report = hw_tangency_points(d)
-    predicted = sorted(float(e.p_star) for e in report.entries)
+    predicted = sorted(float(p) for p in count_full_dim_cells_hw(d).parameters)
     sample = sample_curve(HW, 4001)
     raster = raster_voronoi(sample, d, 512)
     got = sorted(raster.parameter(i) for i in raster.full_dim_labels())
@@ -284,12 +283,21 @@ def test_certificate_at_the_full_dim_cell(metrics):
     cert = dimension_certificate(tuple(sample.points[500]), sample, d)
     assert isinstance(cert, DimensionCertificate)
     assert bool(cert)
-    assert cert.face_dim == 1
-    assert cert.claimed_lower_bound == 2
     assert cert.epsilon > 0
     # the ball around the witness really touches the curve at x
     w = tuple(a - b for a, b in zip(cert.x.coords, cert.witness_y.coords))
     assert exact_gauge(d, w) == cert.epsilon
+
+
+def test_certificate_near_a_sample_certifies_the_sample(metrics):
+    # 4e-10 off the sample: accepted as that sample, and the certificate
+    # is the sample's own, not one made around the caller's point
+    d = metrics["unit"]
+    sample = sample_curve(HW, 1001)
+    t1, t2, t3 = (float(c) for c in sample.points[500])
+    near = dimension_certificate((t1 + 4e-10, t2, t3 - 4e-10), sample, d)
+    assert near == dimension_certificate(tuple(sample.points[500]), sample, d)
+    assert near.x.coords == (Fraction(t1), Fraction(t2), 1 - Fraction(t1) - Fraction(t2))
 
 
 def test_certificate_not_found_off_tangency(metrics):
