@@ -77,18 +77,18 @@ def test_tangency_sets_exact(metrics):
 
 
 def test_tangency_edge_cases_labelled(metrics):
-    rep = count_full_dim_cells_hw(metrics["three_cell"])
-    cases = {e.p_star: e.edge_case for e in rep.entries}
+    census = count_full_dim_cells_hw(metrics["three_cell"])
+    cases = {e.p_star: e.edge_case for e in census.entries}
     assert cases == {F(1, 3): "a", F(1, 2): "c", F(2, 3): "b"}
-    assert not rep.degenerate
+    assert not census.degenerate
 
 
 def test_degenerate_tangencies_reported():
     # d12 == d13 and d23 == d13: both strict cases collapse
-    rep = count_full_dim_cells_hw(validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
-    assert len(rep.entries) == 1
-    assert len(rep.degenerate) == 2
-    for msg in rep.degenerate:
+    census = count_full_dim_cells_hw(validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+    assert len(census.entries) == 1
+    assert len(census.degenerate) == 2
+    for msg in census.degenerate:
         assert "parallel" in msg or "degenerate" in msg or "equal" in msg
 
 
@@ -133,8 +133,8 @@ def test_tangency_direction_matches_tangent(metrics):
     from polyvor._chart import chart2
     tangent = hardy_weinberg_curve().tangent
     for name in ("unit", "two_cell", "three_cell"):
-        rep = count_full_dim_cells_hw(metrics[name])
-        for e in rep.entries:
+        census = count_full_dim_cells_hw(metrics[name])
+        for e in census.entries:
             t = chart2(tangent(e.p_star).coords)
             u = chart2(e.direction.coords)
             assert t[0] * u[1] - t[1] * u[0] == 0
