@@ -2,8 +2,9 @@
 
 The ball of radius r around c is the convex hull of the 2*C(n+1,2) points
 c + r*(e_i - e_j)/d_ij.  For n = 2 the hull of the unit ball is computed
-once per metric, exactly (monotone chain on Fraction coordinates in the
-rational chart), and always has 4 or 6 vertices; every ball is a scaled
+once per metric, exactly: every generator is a vertex unless its triangle
+inequality is tight (d_ij = d_ik + d_kj), so the hull has 6 vertices, or 4
+exactly when a triangle inequality is tight; every ball is a scaled
 translate of it.  Balls are planar: other n raise DimensionMismatch.
 
 Face cones: for a face F of the ball centered at x, C_F(x) is the open
@@ -42,40 +43,27 @@ def ball_generators(d: FiniteMetric):
     return [_generator(d, i, j) for i in range(k) for j in range(k) if i != j]
 
 
-def _orient(o, a, b):
-    """Exact 2D orientation: > 0 iff o->a->b turns left."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull_ccw(points):
-    """Monotone-chain hull of exact 2D points, counterclockwise.
-
-    Collinear points are dropped, so every returned point is a vertex.
-    """
-    pts = sorted(set(points))
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _orient(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _orient(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+# the generators' rays in counterclockwise order in the rational chart:
+# g13, g23, g21, g31, g32, g12 (1-based states), 0-based pairs here
+_CYCLE = ((0, 2), (1, 2), (1, 0), (2, 0), (2, 1), (0, 1))
 
 
 @lru_cache(maxsize=None)
 def unit_hull(d: FiniteMetric) -> tuple:
     """Generators at the vertices of the unit ball of a planar (n = 2) metric.
 
-    Counterclockwise, computed once per metric.  Every ball of ``d`` is
-    c + r*g over this sequence and the gauge's facet table follows it, so
-    vertex, edge and facet indices agree everywhere.
+    Every g_ij is a vertex unless d_ij = d_ik + d_kj; then g_ij lies on the
+    edge from g_ik to g_kj, at (e_i - e_j)/(d_ik + d_kj), and the ball is a
+    quadrilateral.  (At most one triangle inequality is tight.)  The
+    vertices run counterclockwise from the least rational-chart point,
+    computed once per metric.  Every ball of ``d`` is c + r*g over this
+    sequence and the gauge's facet table follows it, so vertex, edge and
+    facet indices agree everywhere.
     """
-    by_chart = {chart2(g.coords): g for g in ball_generators(d)}
-    return tuple(by_chart[q] for q in _hull_ccw(list(by_chart)))
+    verts = [_generator(d, i, j) for i, j in _CYCLE
+             if d[i, j] != d[i, 3 - i - j] + d[3 - i - j, j]]
+    k = min(range(len(verts)), key=lambda a: chart2(verts[a].coords))
+    return tuple(verts[k:] + verts[:k])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -108,6 +109,10 @@ def _make_curve(args):
 
 
 def cmd_raster(args):
+    # printed in the JSON, so it must be finite
+    threshold_pixels = args.threshold * args.resolution ** 2
+    if not math.isfinite(threshold_pixels):
+        raise ValueError(f"threshold {args.threshold!r} times resolution^2 is not finite")
     d = load_metric(args.metric)
     curve = _make_curve(args)
     sample = sample_curve(curve, args.samples)
@@ -118,7 +123,7 @@ def cmd_raster(args):
         "resolution": args.resolution,
         "samples": args.samples,
         "backend": _kernels.backend_name(),
-        "threshold_pixels": args.threshold * args.resolution ** 2,
+        "threshold_pixels": threshold_pixels,
         "full_dim": [{"label": lab, "parameter": raster.parameter(lab),
                       "pixels": counts[lab]} for lab in full],
         "tie_pixels": int((raster.labels == _kernels.TIE).sum()),

@@ -1,7 +1,7 @@
 """Ball construction tests: exact hulls, faces, cones.
 
 The hull oracle here is gift wrapping written directly against exact cross
-products -- independent of the monotone chain used by the library.
+products -- independent of the closed-form rule used by the library.
 """
 
 import hashlib
@@ -18,7 +18,8 @@ from polyvor import (
     face_cone_membership,
 )
 from polyvor._chart import chart2
-from polyvor.metrics import random_metric
+from polyvor.ball import unit_hull
+from polyvor.metrics import random_metric, validate_metric
 from polyvor.transport import AffinePoint
 from polyvor.voronoi import _facet_data
 
@@ -74,12 +75,32 @@ def test_hexagon_vertices_exact(metrics):
     assert {v.coords for v in ball.hull_vertices} == want
 
 
+# the generators' rays counterclockwise in the rational chart, 1-based states
+CCW_PAIRS = ((1, 3), (2, 3), (2, 1), (3, 1), (3, 2), (1, 2))
+
+
 def test_quadrilateral_drops_absorbed_generator(metrics):
     # the long-pair generator lies on an edge of the hull, not at a vertex
     ball = build_ball(CENTROID, F(1, 3), metrics["line"])
     assert ball.vertex_count == 4
     absorbed = (F(1, 2), F(1, 3), F(1, 6))   # center + (1/3)(e1 - e3)/2
     assert absorbed not in {v.coords for v in ball.hull_vertices}
+    # one metric per tight triangle inequality, and a strict one
+    for rows, pair in (([[0, 1, 2], [1, 0, 1], [2, 1, 0]], {(1, 3), (3, 1)}),   # d13 = d12 + d23
+                       ([[0, 2, 1], [2, 0, 1], [1, 1, 0]], {(1, 2), (2, 1)}),   # d12 = d13 + d32
+                       ([[0, 1, 1], [1, 0, 2], [1, 2, 0]], {(2, 3), (3, 2)}),   # d23 = d21 + d13
+                       ([[0, 2, 3], [2, 0, 4], [3, 4, 0]], set())):
+        d = validate_metric(rows)
+        want = []
+        for i, j in CCW_PAIRS:
+            if (i, j) not in pair:
+                g = [F(0)] * 3
+                g[i - 1], g[j - 1] = 1 / d[i - 1, j - 1], -1 / d[i - 1, j - 1]
+                want.append(tuple(g))
+        got = [g.coords for g in unit_hull(d)]
+        assert len(got) == 6 - len(pair)
+        k = want.index(got[0])
+        assert got == want[k:] + want[:k]
 
 
 def test_hull_matches_gift_wrapping_random():

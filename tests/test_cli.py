@@ -245,6 +245,10 @@ def test_boolean_metric_entries_are_json_errors(tmp_path, capsys, rows, cell):
      "ValueError: exponent of '1e1000000000' is over 4300 in magnitude"),
     ("1", ["ball", "--center", "1/3,1/3,1/3", "--radius", "1e-1000000000"],
      "ValueError: exponent of '1e-1000000000' is over 4300 in magnitude"),
+    # the pixel cut 1e308 * 8^2 overflows to inf
+    ("1", ["raster", "--resolution", "8", "--samples", "11",
+           "--threshold", "1e308"],
+     "ValueError: threshold 1e+308 times resolution^2 is not finite"),
 ])
 def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
                                                             entry, argv, err):

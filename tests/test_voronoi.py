@@ -114,8 +114,9 @@ def test_sample_curve_basic_properties():
 
 def test_closed_sample_drops_its_repeated_endpoint():
     # grouping the points in coordinate order kept both seam points at
-    # (0.7, 151), so their shared cell read TIE
-    for radius, n in ((0.2, 1001), (0.7, 151), (0.7, 301)):
+    # (0.7, 151), so their shared cell read TIE; at radius 5000 sin(2*pi)*r
+    # puts the seam points 1.7e-12 apart
+    for radius, n in ((0.2, 1001), (0.7, 151), (0.7, 301), (5000, 101)):
         s = sample_curve(circle_curve(radius), n)
         assert s.count == len(s.u1) == n - 1
         assert s.params[-1] < 1.0
