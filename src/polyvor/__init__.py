@@ -6,12 +6,10 @@ Voronoi diagrams that confirm the counts pixel by pixel.
 """
 
 from polyvor.ball import (
-    Face,
     PolyBall,
     ball_generators,
     build_ball,
     edge_directions,
-    face_cone_membership,
 )
 from polyvor.counting import (
     CellCensus,

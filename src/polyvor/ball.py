@@ -1,4 +1,4 @@
-"""Polyhedral Wasserstein balls and their face structure.
+"""Polyhedral Wasserstein balls of planar metrics.
 
 The ball of radius r around c is the convex hull of the 2*C(n+1,2) points
 c + r*(e_i - e_j)/d_ij.  For n = 2 the hull of the unit ball is computed
@@ -6,11 +6,6 @@ once per metric, exactly: every generator is a vertex unless its triangle
 inequality is tight (d_ij = d_ik + d_kj), so the hull has 6 vertices, or 4
 exactly when a triangle inequality is tight; every ball is a scaled
 translate of it.  Balls are planar: other n raise DimensionMismatch.
-
-Face cones: for a face F of the ball centered at x, C_F(x) is the open
-cone of points seen from x through the relative interior of the antipodal
-face -F.  Together with {x} these cones partition the plane, which is what
-makes cell membership decidable by exact sign tests.
 """
 
 from __future__ import annotations
@@ -67,19 +62,6 @@ def unit_hull(d: FiniteMetric) -> tuple:
 
 
 @dataclass(frozen=True)
-class Face:
-    """A proper face of a planar ball: a vertex (dim 0) or an edge (dim 1).
-
-    Indices refer to the ball's lists: ``vertex_indices`` into its hull
-    vertices, ``opposite`` to the antipodal face -F in its face list.
-    """
-
-    dim: int
-    vertex_indices: tuple
-    opposite: int
-
-
-@dataclass(frozen=True)
 class PolyBall:
     """A planar Wasserstein ball conv{c + r*g} with exact hull data."""
 
@@ -88,7 +70,6 @@ class PolyBall:
     generators: tuple
     hull_vertices: tuple   # CCW AffinePoints
     edges: tuple           # ((vertex index pair), inward normal) per edge
-    faces: tuple           # vertex faces first, then edge faces
 
     @property
     def vertex_count(self) -> int:
@@ -98,9 +79,8 @@ class PolyBall:
 def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     """Ball of radius ``radius`` around ``center`` under metric ``d``.
 
-    Exact throughout: the hull, inward edge normals and the face list
-    (with antipodal partners); the hull always has 4 or 6 vertices.
-    Planar only: other n raise DimensionMismatch.
+    Exact throughout: the hull (4 or 6 vertices) and its inward edge
+    normals.  Planar only: other n raise DimensionMismatch.
     """
     if d.n != 2:
         raise DimensionMismatch("balls are built for n = 2")
@@ -113,7 +93,6 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     gens = tuple(ball_generators(d))
     verts = tuple(c.translate(g, r) for g in unit_hull(d))
     m = len(verts)
-    half = m // 2   # g_ji = -g_ij: vertex i faces vertex i + m/2
 
     edges = []
     for a in range(m):
@@ -123,46 +102,7 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
         nrm = DirectionVector((u[2] - u[1], u[0] - u[2], u[1] - u[0]))
         edges.append(((a, b), nrm))
 
-    faces = [Face(0, (i,), (i + half) % m) for i in range(m)]
-    faces += [Face(1, pair, m + (a + half) % m) for a, (pair, _) in enumerate(edges)]
-
-    return PolyBall(c, r, gens, verts, tuple(edges), tuple(faces))
-
-
-def face_cone_membership(ball: PolyBall, face, y) -> bool:
-    """Is y in the cone C_F(x) of points seen from x = ball.center through -F?
-
-    ``face`` is None, the empty face whose cone is {x} itself, or one of
-    ``ball.faces``; anything else is a ValueError.  The cones of proper
-    faces are open (they exclude x).  All predicates are exact rational
-    sign tests in the rational chart.
-    """
-    x = ball.center
-    y = exact_point(y)
-    if face is None:
-        return x.coords == y.coords
-    if face not in ball.faces:
-        raise ValueError("face is not a face of this ball")
-
-    u = chart2((y - x).coords)
-    if u == (0, 0):
-        return False
-
-    opp = ball.faces[face.opposite]
-    if face.dim == 0:
-        w = ball.hull_vertices[opp.vertex_indices[0]]
-        a = chart2((w - x).coords)
-        cross = u[0] * a[1] - u[1] * a[0]
-        dot = u[0] * a[0] + u[1] * a[1]
-        return cross == 0 and dot > 0
-    p = ball.hull_vertices[opp.vertex_indices[0]]
-    q = ball.hull_vertices[opp.vertex_indices[1]]
-    av = chart2((p - x).coords)
-    bv = chart2((q - x).coords)
-    det = av[0] * bv[1] - av[1] * bv[0]
-    alpha = (u[0] * bv[1] - u[1] * bv[0]) / det
-    beta = (av[0] * u[1] - av[1] * u[0]) / det
-    return alpha > 0 and beta > 0
+    return PolyBall(c, r, gens, verts, tuple(edges))
 
 
 def edge_directions(d: FiniteMetric):

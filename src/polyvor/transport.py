@@ -2,8 +2,8 @@
 
 ``AffinePoint`` and ``DirectionVector`` hold exact (Fraction) or float
 coordinates.  Points live on the whole hyperplane: the polyhedral
-Wasserstein distance is a norm there, so balls, face cones and certificate
-witnesses may leave the simplex.  Only the two transport endpoints must be
+Wasserstein distance is a norm there, so balls and certificate witnesses
+may leave the simplex.  Only the two transport endpoints must be
 probability distributions, and ``wasserstein_distance`` checks that.
 
 ``wasserstein_distance`` leaves min(mu_i, nu_i) in place at every state i
@@ -72,10 +72,6 @@ class AffinePoint:
             raise ValueError("coordinates must sum to 1")
 
     @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
-    @property
     def is_exact(self) -> bool:
         return _is_exact(self.coords)
 
@@ -105,16 +101,8 @@ class DirectionVector:
     def is_exact(self) -> bool:
         return _is_exact(self.coords)
 
-    def __neg__(self) -> "DirectionVector":
-        return DirectionVector(tuple(-c for c in self.coords))
-
     def __sub__(self, other: "DirectionVector") -> "DirectionVector":
         return DirectionVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, s) -> "DirectionVector":
-        return DirectionVector(tuple(c * s for c in self.coords))
-
-    __rmul__ = __mul__
 
 
 def as_affine_point(obj) -> AffinePoint:

@@ -26,11 +26,7 @@ from polyvor._chart import chart2, plot_to_point, plot_xy
 from polyvor.ball import unit_hull
 from polyvor.curve import ParametricCurve
 from polyvor.metrics import FiniteMetric
-from polyvor.transport import (
-    AffinePoint,
-    as_affine_point,
-    exact_point,
-)
+from polyvor.transport import AffinePoint, DimensionMismatch, as_affine_point, exact_point
 
 OUTSIDE = _kernels.OUTSIDE
 TIE = _kernels.TIE
@@ -86,6 +82,7 @@ class CurveSample:
     Raster labels and certificates name a sample by its index in ``params``.
     The params must name distinct points, except that a closed curve's last
     point may repeat its first: that last sample is dropped (the seam).
+    Points must have 3 coordinates (n = 2): others raise DimensionMismatch.
     """
 
     params: np.ndarray     # (k,) float parameters
@@ -97,6 +94,8 @@ class CurveSample:
     def at_params(cls, curve: ParametricCurve, params) -> "CurveSample":
         params = np.asarray(params, dtype=np.float64)
         pts = np.array([[float(c) for c in curve.eval(float(p)).coords] for p in params])
+        if pts.shape[1:] != (3,):
+            raise DimensionMismatch(f"curve samples need 3 coordinates, got shape {pts.shape}")
         # the seam's rounding gap grows with the coordinates (1.7e-12 at circle radius 5000)
         if len(pts) > 1 and math.hypot(pts[-1, 0] - pts[0, 0], pts[-1, 1] - pts[0, 1]) \
                 <= 1e-12 * max(1.0, float(np.abs(pts[[0, -1]]).max())):
@@ -134,13 +133,17 @@ def sample_curve(curve: ParametricCurve, count: int) -> CurveSample:
     """Sample at ``count`` uniformly spaced parameters including endpoints.
 
     ``CurveSample.at_params`` peaks near 260 B per sample, and the count is
-    refused when that exceeds a quarter of physical memory.
+    refused when that exceeds a quarter of physical memory.  A closed curve
+    needs 3, as its last sample repeats the first and is dropped.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
     size = 260 * count
     _check_memory(size, f"{count} samples need {size} B")
-    return CurveSample.at_params(curve, np.linspace(0.0, 1.0, count))
+    sample = CurveSample.at_params(curve, np.linspace(0.0, 1.0, count))
+    if sample.count < 2:
+        raise ValueError("2 samples of a closed curve are one point: need at least 3")
+    return sample
 
 
 @dataclass(frozen=True)

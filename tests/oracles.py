@@ -11,6 +11,8 @@ shares as little code with it as possible:
 * ``full_transport_distance`` -- the exact transport cost from the network
   simplex on the whole k x k problem in Fractions, with no reduction to
   the moved mass and no integer scaling;
+* ``face_cone_membership`` -- is a point in the face cone C_F(x) of a
+  ball centered at x, by exact sign tests against the antipodal face;
 * ``face_cone_decomposition_check`` -- the face cones of a ball partition
   the plane;
 * ``half_ball_test`` -- the curve stays on one side of a line near a point;
@@ -37,7 +39,6 @@ import numpy as np
 from polyvor import _chart, _kernels
 from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, chart2, plot_xy
 from polyvor._kernels import OUTSIDE, _nearest, gauge
-from polyvor.ball import face_cone_membership
 from polyvor.curve import ParametricCurve
 from polyvor.transport import (
     DimensionMismatch,
@@ -290,13 +291,48 @@ def full_transport_distance(mu, nu, d) -> Fraction:
 # ball and curve geometry
 
 
+def face_cone_membership(ball, face, y) -> bool:
+    """Is y in the cone C_F(x) of points seen from x = ball.center through -F?
+
+    ``face`` is None, the empty face whose cone is {x} itself, or an index
+    into the ball's 2m proper faces: i < m is vertex i, and m + a is the
+    edge from vertex a to vertex a + 1.  Vertex i + m/2 mirrors vertex i
+    through the center (g_ji = -g_ij), so the antipode -F is the index plus
+    m/2 within its block.  The cones of proper faces are open (they exclude
+    x).  All predicates are exact rational sign tests in the rational chart.
+    """
+    x = ball.center
+    y = exact_point(y)
+    if face is None:
+        return x.coords == y.coords
+    m = ball.vertex_count
+    if not 0 <= face < 2 * m:
+        raise ValueError(f"face index {face} is not one of the ball's {2 * m} faces")
+
+    u = chart2((y - x).coords)
+    if u == (0, 0):
+        return False
+
+    opp = (face + m // 2) % m
+    av = chart2((ball.hull_vertices[opp] - x).coords)
+    if face < m:
+        cross = u[0] * av[1] - u[1] * av[0]
+        dot = u[0] * av[0] + u[1] * av[1]
+        return cross == 0 and dot > 0
+    bv = chart2((ball.hull_vertices[(opp + 1) % m] - x).coords)
+    det = av[0] * bv[1] - av[1] * bv[0]
+    alpha = (u[0] * bv[1] - u[1] * bv[0]) / det
+    beta = (av[0] * u[1] - av[1] * u[0]) / det
+    return alpha > 0 and beta > 0
+
+
 def face_cone_decomposition_check(points, ball) -> bool:
     """Every point must land in exactly one face cone of the ball.
 
     The empty face (cone {center}) participates, so the cones partition
     the plane and the check is a hard exactly-one count per point.
     """
-    faces = [None] + list(ball.faces)
+    faces = [None] + list(range(2 * ball.vertex_count))
     for q in points:
         hits = sum(1 for f in faces if face_cone_membership(ball, f, q))
         if hits != 1:

@@ -1,4 +1,4 @@
-"""Ball construction tests: exact hulls, faces, cones.
+"""Ball construction tests: exact hulls, antipodes, face cones.
 
 The hull oracle here is gift wrapping written directly against exact cross
 products -- independent of the closed-form rule used by the library.
@@ -15,7 +15,6 @@ from polyvor import (
     build_ball,
     ball_generators,
     edge_directions,
-    face_cone_membership,
 )
 from polyvor._chart import chart2
 from polyvor.ball import unit_hull
@@ -23,7 +22,12 @@ from polyvor.metrics import random_metric, validate_metric
 from polyvor.transport import AffinePoint
 from polyvor.voronoi import _facet_data
 
-from oracles import as_direction, exact_gauge, face_cone_decomposition_check
+from oracles import (
+    as_direction,
+    exact_gauge,
+    face_cone_decomposition_check,
+    face_cone_membership,
+)
 
 F = Fraction
 CENTROID = (F(1, 3), F(1, 3), F(1, 3))
@@ -146,28 +150,26 @@ def _fixture_and_random_metrics(metrics, count):
 
 
 def test_faces_and_opposites(metrics):
+    # the face-cone oracle reads antipodes off indices: through the center,
+    # vertex i + m/2 mirrors vertex i and edge a + m/2 mirrors edge a
     for d in _fixture_and_random_metrics(metrics, 30):
         ball = build_ball(CENTROID, F(1, 3), d)
         m = ball.vertex_count
-        assert len(ball.faces) == 2 * m
-        for f in ball.faces:
-            g = ball.faces[f.opposite]
-            assert g.dim == f.dim
-            assert g.opposite == ball.faces.index(f)
-        dims = [f.dim for f in ball.faces]
-        assert dims == [0] * m + [1] * m
+        half = m // 2
+        assert 2 * half == m
 
         def mirror(i):
             v = ball.hull_vertices[i].coords
             return tuple(2 * c - x for c, x in zip(CENTROID, v))
 
         for i in range(m):
-            j = ball.faces[i].opposite
-            assert ball.hull_vertices[j].coords == mirror(i)
-        for f in ball.faces[m:]:
-            opp = ball.faces[f.opposite].vertex_indices
+            assert ball.hull_vertices[(i + half) % m].coords == mirror(i)
+        for a, (pair, normal) in enumerate(ball.edges):
+            assert pair == (a, (a + 1) % m)
+            opp, opp_normal = ball.edges[(a + half) % m]
             assert {ball.hull_vertices[k].coords for k in opp} \
-                == {mirror(k) for k in f.vertex_indices}
+                == {mirror(k) for k in pair}
+            assert opp_normal.coords == tuple(-c for c in normal.coords)
 
 
 def test_facet_functionals_follow_ball_edge_order(metrics):
@@ -184,20 +186,18 @@ def test_facet_functionals_follow_ball_edge_order(metrics):
 
 
 def _geometry_text(ball):
-    """Canonical text of a ball's hull, edges and faces, from str(Fraction)."""
+    """Canonical text of a ball's hull and edges, from str(Fraction)."""
     def row(values):
         return ",".join(str(v) for v in values)
 
     verts = [row(v.coords) for v in ball.hull_vertices]
     edges = [f"{a} {b} {row(n.coords)}" for (a, b), n in ball.edges]
-    faces = [f"{f.dim} {row(f.vertex_indices)} {f.opposite}" for f in ball.faces]
-    return "|".join((";".join(verts), ";".join(edges), ";".join(faces)))
+    return "|".join((";".join(verts), ";".join(edges)))
 
 
 # sha256 of the ball geometry, pinned from the per-ball hull construction
-# that the shared unit hull replaced: a moved vertex, normal or antipode
-# index shows here
-BALL_GEOMETRY_SHA256 = "4b0c6e25c4a970a85505a6dffd57744a64982a2cdc114af5b13bf44bcd749d40"
+# that the shared unit hull replaced: a moved vertex or normal shows here
+BALL_GEOMETRY_SHA256 = "c0046a252842bb33d8ff771399fbe3f1076e13b96e6b74ae1d6e369a97e5a173"
 
 
 def test_ball_geometry_matches_pinned_hash(metrics):
@@ -229,32 +229,19 @@ def test_face_cone_membership_cases(metrics):
     va, vb = ball.hull_vertices[a], ball.hull_vertices[b]
     mid = tuple((p + q) / 2 for p, q in zip(va.coords, vb.coords))
     through = AffinePoint(tuple(2 * c - mm for c, mm in zip(CENTROID, mid)))
-    face = next(f for f in ball.faces
-                if f.dim == 1 and tuple(f.vertex_indices) == (a, b))
-    opp = ball.faces[face.opposite]
-    assert face_cone_membership(ball, face, through)
+    edge, opp = m, m + m // 2   # edge 0 and its antipodal edge
+    assert face_cone_membership(ball, edge, through)
     assert not face_cone_membership(ball, opp, through)
-    # a vertex ray: vertex cone fires, neighboring edge cones do not
+    # a vertex ray: vertex cone fires, the edge cones do not
     v0 = ball.hull_vertices[0].coords
     ray = AffinePoint(tuple(c + 3 * (p - c) for c, p in zip(CENTROID, v0)))
-    vface = ball.faces[0]
-    assert face_cone_membership(ball, ball.faces[vface.opposite], ray)
+    assert face_cone_membership(ball, m // 2, ray)
+    assert not any(face_cone_membership(ball, f, ray) for f in range(m, 2 * m))
     # the center belongs to the empty face only
     assert face_cone_membership(ball, None, CENTROID)
-    assert not face_cone_membership(ball, ball.faces[0], CENTROID)
-
-
-def test_face_cone_membership_refuses_a_face_of_another_ball(metrics):
-    hexagon = build_ball(CENTROID, F(1, 3), metrics["unit"])
-    quad = build_ball(CENTROID, F(1, 3), metrics["line"])
-    y = (F(1, 2), F(1, 4), F(1, 4))
-    for face in quad.faces:
-        with pytest.raises(ValueError, match="not a face of this ball"):
-            face_cone_membership(hexagon, face, y)
-    # a face record equal to one of the ball's own is one of its faces
-    twin = build_ball((F(1, 5), F(2, 5), F(2, 5)), F(1, 7), metrics["unit"])
-    assert [face_cone_membership(hexagon, f, y) for f in twin.faces] \
-        == [face_cone_membership(hexagon, f, y) for f in hexagon.faces]
+    assert not face_cone_membership(ball, 0, CENTROID)
+    with pytest.raises(ValueError, match="not one of the ball's 12 faces"):
+        face_cone_membership(ball, 2 * m, CENTROID)
 
 
 def test_face_cones_partition_random_points(metrics):

@@ -350,6 +350,19 @@ def test_ball_off_the_plane_is_json_error(tmp_path, capsys, rows, center, svg):
 
 
 @pytest.mark.parametrize("command", ["raster", "check"])
+def test_two_samples_of_the_circle_are_json_error(tmp_path, capsys, command):
+    # both samples are the seam point: one cell would cover the whole inside
+    argv = [command, "--resolution", "8", "--samples", "2"]
+    if command == "raster":
+        argv += ["--metric", metric_file(tmp_path, UNIT), "--curve", "circle"]
+    code = cli.main(argv)
+    text = capsys.readouterr().out
+    assert code == 1
+    message = "2 samples of a closed curve are one point: need at least 3"
+    assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
+
+
+@pytest.mark.parametrize("command", ["raster", "check"])
 def test_sample_count_over_the_memory_budget_is_json_error(tmp_path, capsys, command):
     # 260 B per sample at 10^12 samples is 236 TiB: refused before sampling
     argv = [command, "--resolution", "8", "--samples", str(10**12)]

@@ -9,6 +9,7 @@ import pytest
 from polyvor import (
     CurveSample,
     DimensionCertificate,
+    DimensionMismatch,
     NotFound,
     ball_generators,
     build_ball,
@@ -19,6 +20,7 @@ from polyvor import (
     random_metric,
     raster_voronoi,
     sample_curve,
+    veronese_curve,
 )
 from polyvor import _kernels, voronoi
 from polyvor._chart import plot_xy
@@ -126,6 +128,23 @@ def test_closed_sample_drops_its_repeated_endpoint():
     # the seam is one sample, so its cell has no everywhere-tied twin
     raster = raster_voronoi(sample_curve(circle_curve(0.7), 151), random_metric(3, 0), 96)
     assert int((raster.labels == TIE).sum()) == 0
+
+
+def test_closed_curve_refuses_a_count_that_leaves_one_sample():
+    # p = 0 and p = 1 are the seam point, so 2 samples of a circle are one
+    with pytest.raises(ValueError, match="are one point: need at least 3"):
+        sample_curve(circle_curve(0.2), 2)
+    s = sample_curve(circle_curve(0.2), 3)
+    assert list(s.params) == [0.0, 0.5]
+
+
+def test_samples_off_the_plane_are_refused():
+    # the kernels and certificates read the first two coordinates as the
+    # rational chart, which is the simplex only for 3 coordinates
+    with pytest.raises(DimensionMismatch, match="got shape \\(11, 4\\)"):
+        sample_curve(veronese_curve(3), 11)
+    with pytest.raises(DimensionMismatch, match="got shape \\(2, 2\\)"):
+        CurveSample.at_params(veronese_curve(1), [0.25, 0.75])
 
 
 def test_exact_ties_go_to_the_lowest_sample_index():
