@@ -10,25 +10,52 @@ loose points and the certificate screen share one elementwise expression
 order (scalar multiply, add, running max; no dot products) and agree bit
 for bit.
 
-Tile pruning.  The distance from a pixel center t to sample k is
+Central symmetry.  A norm's unit ball is centrally symmetric, so its m
+facet functionals come in antipodal pairs: the exact table of
+``voronoi._facet_data`` has a[f + m/2] == -a[f], and so has its float
+copy, since rounding commutes with negation.  Negating a product or a sum
+is exact too, so the functional f + m/2 takes the value -(a_f.w) bit for
+bit, and
+
+    max_f a_f.w  ==  max_{f < m/2} |a_f.w|.
+
+``gauge`` evaluates the right-hand side: half the products, the same
+maximum.  (Only the sign of a zero maximum may differ, and every consumer
+compares distances, where -0.0 == 0.0.)
+
+Pruning.  The distance from a pixel center t to sample k is
 ``dist_k(t) = max_f (P[f,k] - a_f.t)`` with ``P[f,k] = a_f.s_k``, and
-``a_f.t`` is linear in t.  ``classify_grid`` walks the grid in bands of
-TILE pixel rows, cut into TILE x TILE tiles.  With lo_f and hi_f the min
-and max of ``a_f.t`` over a tile's inside pixel centers,
+``a_f.t`` is linear in t.  With lo_f and hi_f the min and max of ``a_f.t``
+over the inside pixel centers of a region R of the grid,
 
     LB_k = max_f (P[f,k] - hi_f)  <=  dist_k(t)  <=  max_f (P[f,k] - lo_f) = UB_k
 
-at every inside pixel of the tile.  A label depends only on the nearest
-sample (the first one on equal distances) and on the second-smallest
-distance m2(t): TIE when m2(t) - best < tie_tol.  The two samples of least
-UB are both within UB2, the second-smallest UB, so m2(t) <= UB2, and every
-sample with dist_k(t) <= m2(t) has LB_k <= UB2.  A tile therefore keeps,
-in index order, the samples with ``LB_k <= UB2 + tie_tol + slack`` (about
-7 % of them at 512^2 with 1001 samples) and runs the unchanged ``gauge``
-and ``_nearest`` on those columns only.  Both are elementwise, so the kept
+at every inside pixel of R.  By the symmetry the facet f + m/2 has
+P = -P[f,k], lo = -hi_f and hi = -lo_f, so with x = P[f,k] - hi_f and
+y = lo_f - P[f,k] both bounds run over the first m/2 facets only:
+LB_k = max (max(x, y)) and UB_k = -min (min(x, y)), the same floats as
+over all m.  A label depends only on the nearest sample (the first one on
+equal distances) and on the second-smallest distance m2(t): TIE when
+m2(t) - best < tie_tol.  The two samples of least UB are both within UB2,
+the second-smallest UB, so m2(t) <= UB2, and every sample with
+dist_k(t) <= m2(t) has LB_k <= UB2.  So R may keep, in index order, only
+the samples with ``LB_k <= UB2 + tie_tol + slack``: the nearest sample,
+every sample within m2(t) and hence m2(t) itself are among them, at every
+inside pixel of R.
+
+Segment, then tile.  ``classify_grid`` walks the grid in bands of TILE
+pixel rows, cut into TILE x TILE tiles; the tiles of a band with an inside
+pixel are grouped, SEG at a time, into segments.  A segment is bounded
+against all K samples.  Its tiles are then bounded only against the
+segment's kept samples: those hold the nearest and every sample within
+m2(t) of each of the segment's pixels, so the argument above, run on the
+candidates, keeps them again (about 7 % of the samples per tile at 512^2
+with 1001 samples).  Each tile runs the unchanged ``gauge`` and
+``_nearest`` on its kept columns only.  Both are elementwise, so the kept
 columns carry the bits of the full row: same nearest sample, same
 first-index tie-breaking, same TIE marks.  The labels are those of every
-pixel x sample pair (``tests/oracles.py: brute_classify_grid``).
+pixel x sample pair under the full m-facet gauge
+(``tests/oracles.py: brute_classify_grid``).
 
 Slack.  The bound and the gauge are different float expressions, so the
 slack covers the rounding of both.  Let u = eps/2, A = max_f (|a0[f]| +
@@ -39,13 +66,16 @@ and the gauge (difference, two products, a sum) is within 3u A (S + 1).
 Each side of the bound is thus off by at most 6u A (S + 1) to first
 order, and both sides plus the rounding of the cut itself by less than
 14u A (S + 1).  The slack is SLACK_ULPS * eps * A * (S + 1) = 32u A (S + 1).
-S is read from the samples because they may leave the simplex (a circle
-of large radius does).
+A segment's lo and hi are the min and max of the same float a_f.t as its
+tiles', so one slack serves both levels.  S is read from the samples
+because they may leave the simplex (a circle of large radius does).
 
-Memory.  Bounds are computed one band at a time: (F, tiles) extremes and
-(tiles, K) LB / UB for the band's tiles only.  Each tile classifies all of
-its TILE^2 pixels against its kept samples and writes the inside ones, so
-the label array is the only grid-sized allocation.
+Memory.  Bounds are computed one band at a time, in three float arrays and
+a partition copy of one shape: (segments, K) for the band's segments,
+then (tiles, candidates) for one segment's tiles, after the segment
+arrays are dropped.  Each tile classifies all of its TILE^2 pixels against
+its kept samples and writes the inside ones, so the label array is the
+only grid-sized allocation.
 """
 
 import numpy as np
@@ -55,6 +85,7 @@ from polyvor._chart import HALF_SQRT3, plot_to_point
 OUTSIDE = -1
 TIE = -2
 TILE = 8          # tile edge in pixels
+SEG = 4           # tiles per segment of the two-level bound
 SLACK_ULPS = 16   # rounding slack of the tile bound, in eps * A * (S + 1)
 
 
@@ -68,15 +99,19 @@ def gauge(a0, a1, d1, d2, out):
 
     (d1, d2) are rational-chart difference vectors, broadcast to the shape
     of ``out``; (a0[f], a1[f]) are the float facet functionals of the unit
-    ball.  Products go into preallocated buffers: fresh full-size
-    temporaries per facet cost page faults, not arithmetic.
+    ball, whose second half negates the first (see the module docstring),
+    so only max_{f < m/2} |a0[f]*d1 + a1[f]*d2| is evaluated.  Products go
+    into preallocated buffers: fresh full-size temporaries per facet cost
+    page faults, not arithmetic.
     """
     term = np.empty_like(out)
     np.multiply(a0[0], d1, out=out)
     out += a1[0] * d2
-    for f in range(1, len(a0)):
+    np.abs(out, out=out)
+    for f in range(1, len(a0) // 2):
         np.multiply(a0[f], d1, out=term)
         term += a1[f] * d2
+        np.abs(term, out=term)
         np.maximum(out, term, out=out)
     return out
 
@@ -98,14 +133,39 @@ def _nearest(dist, tie_tol):
     return lab, best, second
 
 
+def _kept(prows, lo, hi, margin):
+    """Mask of the samples each region keeps (see the module docstring).
+
+    ``prows`` yields P[f, cols] for the first m/2 facets, one facet at a
+    time; lo[f] and hi[f] are (regions, 1) extremes of a_f.t.  A region
+    keeps the columns with LB <= UB2 + margin.
+    """
+    for f, p in enumerate(prows):
+        if f == 0:
+            lb = np.subtract(p, hi[0])
+            nub = lb.copy()                     # running min of x, y: -UB
+            term = np.empty_like(lb)
+        else:
+            np.subtract(p, hi[f], out=term)
+            np.maximum(lb, term, out=lb)
+            np.minimum(nub, term, out=nub)
+        np.subtract(lo[f], p, out=term)
+        np.maximum(lb, term, out=lb)
+        np.minimum(nub, term, out=nub)
+    del term
+    k = max(nub.shape[1] - 2, 0)        # -UB2 is the second-largest -UB; a lone column's own
+    cut = margin - np.partition(nub, k, axis=1)[:, k]
+    return lb <= cut[:, None]
+
+
 def classify_grid(res, a0, a1, s1, s2, tie_tol):
     """Label a res x res grid of pixel centers by nearest sample (s1, s2).
 
     Pixel centers live on the plotting-chart box [0,1] x [0,sqrt(3)/2],
     row iy = 0 at the bottom; pixels outside the simplex are OUTSIDE.
-    Each TILE x TILE tile evaluates only the samples its bounds keep (see
-    the module docstring), so the labels are those of all pixel x sample
-    pairs at a fraction of the work.
+    Each TILE x TILE tile evaluates only the samples kept by its segment's
+    bounds and then by its own (see the module docstring), so the labels
+    are those of all pixel x sample pairs at a fraction of the work.
     """
     labels = np.full((res, res), OUTSIDE, dtype=np.int64)
     ntiles = -(-res // TILE)
@@ -113,11 +173,12 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
     # or above y = sqrt(3)/2, so the inside test drops them
     px = (np.arange(ntiles * TILE) + 0.5) * (1.0 / res)
     dy = HALF_SQRT3 / res
-    P = a0[:, None] * s1 + a1[:, None] * s2          # (F, K): a_f . s_k
+    h = len(a0) // 2
+    a0h, a1h = a0[:h], a1[:h]
+    P = a0h[:, None] * s1 + a1h[:, None] * s2        # (m/2, K): a_f . s_k
     scale = np.max(np.abs(a0) + np.abs(a1)) * (
         max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
-    slack = SLACK_ULPS * np.finfo(np.float64).eps * scale
-    kth = min(1, len(s1) - 1)                        # UB2; a lone sample's own UB
+    margin = tie_tol + SLACK_ULPS * np.finfo(np.float64).eps * scale
     for y0 in range(0, res, TILE):
         y = (np.arange(y0, y0 + TILE) + 0.5)[:, None] * dy
         t1, t2, t3 = plot_to_point(px, y)
@@ -126,35 +187,32 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
         if len(tiles) == 0:
             continue
         # min and max of a_f . t over the inside pixel centers of each tile
-        q = a0[:, None, None] * t1 + a1[:, None, None] * t2
-        lo = np.where(inside, q, np.inf).reshape(-1, TILE, ntiles, TILE)
-        hi = np.where(inside, q, -np.inf).reshape(-1, TILE, ntiles, TILE)
-        lo = lo.min(axis=(1, 3))[:, tiles, None]
-        hi = hi.max(axis=(1, 3))[:, tiles, None]
-        lb = P[0] - hi[0]
-        ub = P[0] - lo[0]
-        term = np.empty_like(lb)
-        for f in range(1, len(a0)):
-            np.maximum(lb, np.subtract(P[f], hi[f], out=term), out=lb)
-            np.maximum(ub, np.subtract(P[f], lo[f], out=term), out=ub)
-        cut = np.partition(ub, kth, axis=1)[:, kth] + tie_tol + slack
-        keep = lb <= cut[:, None]
-        # kept samples of the band's tiles, tile after tile, in index order
-        cand = np.nonzero(keep)[1]
-        ends = np.cumsum(keep.sum(axis=1))
-        c1, c2 = s1[cand], s2[cand]
+        q = a0h[:, None, None] * t1 + a1h[:, None, None] * t2
+        lo = np.where(inside, q, np.inf).reshape(h, TILE, ntiles, TILE)
+        hi = np.where(inside, q, -np.inf).reshape(h, TILE, ntiles, TILE)
+        lo = lo.min(axis=(1, 3))[:, tiles]
+        hi = hi.max(axis=(1, 3))[:, tiles]
+        starts = np.arange(0, len(tiles), SEG)
+        seg_keep = _kept(P, np.minimum.reduceat(lo, starts, axis=1)[..., None],
+                         np.maximum.reduceat(hi, starts, axis=1)[..., None], margin)
         # every pixel of a tile is classified; only inside ones are kept
-        t2px = np.repeat(t2, TILE)
+        t2px = np.repeat(t2, TILE)[:, None]
         band = np.empty((TILE, ntiles * TILE), dtype=np.int64)
-        start = 0
-        for tile, end in zip(tiles, ends):
-            x0 = tile * TILE
-            lab = classify_points(t1[:, x0:x0 + TILE].reshape(-1), t2px, a0, a1,
-                                  c1[start:end], c2[start:end], tie_tol)[0]
-            pos = lab >= 0
-            lab[pos] = cand[start:end][lab[pos]]
-            band[:, x0:x0 + TILE] = lab.reshape(TILE, TILE)
-            start = end
+        for j, s0 in enumerate(starts):
+            cols = np.flatnonzero(seg_keep[j])
+            seg = slice(s0, s0 + SEG)
+            keep = _kept((P[f, cols] for f in range(h)), lo[:, seg, None],
+                         hi[:, seg, None], margin)
+            for tile, kept in zip(tiles[seg], keep):
+                cand = cols[kept]
+                x0 = tile * TILE
+                dist = np.empty((TILE * TILE, len(cand)))
+                gauge(a0, a1, s1[cand] - t1[:, x0:x0 + TILE].reshape(-1, 1),
+                      s2[cand] - t2px, dist)
+                lab = _nearest(dist, tie_tol)[0]
+                pos = lab >= 0
+                lab[pos] = cand[lab[pos]]
+                band[:, x0:x0 + TILE] = lab.reshape(TILE, TILE)
         rows = labels[y0:y0 + TILE]
         np.copyto(rows, band[:len(rows), :res], where=inside[:len(rows), :res])
     return labels
@@ -163,7 +221,7 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
 def classify_points(t1, t2, a0, a1, s1, s2, tie_tol):
     """Classify rational-chart points (t1, t2) by nearest sample (s1, s2).
 
-    Loose points and every tile of ``classify_grid`` go through here.
+    Loose points (the certificate screen among them) go through here.
     Returns (labels, best, second) so callers can inspect margins.
     """
     t1 = np.asarray(t1, dtype=np.float64).reshape(-1, 1)

@@ -178,16 +178,19 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
                    tie_tolerance: float = DEFAULT_TIE_TOL) -> VoronoiRaster:
     """Label a resolution^2 grid with nearest-sample indices under ``d``.
 
-    The int64 label array, plus the kernel's per-band tile bounds (about
-    32 B per sample for each tile of a band), may take at most a quarter
-    of physical memory: counting and rendering each make label-sized
-    copies of the labels.
+    The int64 label array, plus the kernel's per-band bounds, may take at
+    most a quarter of physical memory: counting and rendering each make
+    label-sized copies of the labels.  The bounds take about 32 B per
+    sample for each segment of a band (SEG tiles), or for each tile of one
+    segment when the band has fewer segments than that.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     size = 8 * resolution * resolution
     _check_memory(size, f"resolution {resolution} needs a {size} B label array")
-    size += 32 * -(-resolution // _kernels.TILE) * sample.count
+    ntiles = -(-resolution // _kernels.TILE)
+    regions = max(-(-ntiles // _kernels.SEG), min(ntiles, _kernels.SEG))
+    size += 32 * regions * sample.count
     _check_memory(size, f"resolution {resolution} with {sample.count} samples "
                         f"needs {size} B of labels and tile bounds")
     _check_nonnegative("tie tolerance", tie_tolerance)

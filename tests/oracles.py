@@ -17,8 +17,11 @@ shares as little code with it as possible:
   the plane;
 * ``half_ball_test`` -- the curve stays on one side of a line near a point;
 * ``planar_tangency_points`` -- tangency parameters by numeric bracketing;
-* ``brute_classify_grid`` -- raster labels from every pixel x sample pair,
-  the row kernel the tile-pruned ``classify_grid`` must reproduce.
+* ``full_gauge`` -- the float gauge as the running max over all m facet
+  functionals, without the central-symmetry shortcut of ``_kernels.gauge``;
+* ``brute_classify_grid`` -- raster labels from every pixel x sample pair
+  under ``full_gauge``, the row kernel the pruned ``classify_grid`` must
+  reproduce.
 
 Two helpers at the end are not independent: ``exact_gauge`` and
 ``classify`` read the library's own facet table (``_facet_data``), so they
@@ -38,7 +41,7 @@ import numpy as np
 
 from polyvor import _chart, _kernels
 from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, chart2, plot_xy
-from polyvor._kernels import OUTSIDE, _nearest, gauge
+from polyvor._kernels import OUTSIDE, _nearest
 from polyvor.curve import ParametricCurve
 from polyvor.transport import (
     DimensionMismatch,
@@ -438,6 +441,23 @@ def planar_tangency_points(curve: ParametricCurve, direction, bracket_count: int
 # raster labels without pruning
 
 
+def full_gauge(a0, a1, d1, d2, out):
+    """Write max_f(a0[f]*d1 + a1[f]*d2) over all m facets into ``out``.
+
+    Each facet value is formed as in ``_kernels.gauge`` (scalar multiply,
+    then add), but all m of them enter the running max as they are, so no
+    symmetry of the table is assumed.
+    """
+    term = np.empty_like(out)
+    np.multiply(a0[0], d1, out=out)
+    out += a1[0] * d2
+    for f in range(1, len(a0)):
+        np.multiply(a0[f], d1, out=term)
+        term += a1[f] * d2
+        np.maximum(out, term, out=out)
+    return out
+
+
 def brute_classify_grid(res, a0, a1, s1, s2, tie_tol):
     """Label a res x res grid of pixel centers by nearest sample (s1, s2).
 
@@ -459,7 +479,7 @@ def brute_classify_grid(res, a0, a1, s1, s2, tie_tol):
         if n == 0:
             continue
         np.subtract(s1, t1in[:, None], out=d1[:n])
-        gauge(a0, a1, d1[:n], s2 - t2, dist[:n])
+        full_gauge(a0, a1, d1[:n], s2 - t2, dist[:n])
         labels[iy, inside] = _nearest(dist[:n], tie_tol)[0]
     return labels
 

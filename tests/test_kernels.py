@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_classify_grid
-from polyvor._kernels import OUTSIDE, TIE, classify_grid, classify_points
+from oracles import brute_classify_grid, full_gauge
+from polyvor._kernels import OUTSIDE, TIE, classify_grid, classify_points, gauge
 from polyvor.voronoi import _facet_data
 from polyvor import circle_curve, hardy_weinberg_curve, random_metric, sample_curve
 
@@ -19,6 +19,39 @@ def setup_arrays(metrics, name="two_cell", n=201):
     _, a0, a1 = _facet_data(metrics[name])
     s = sample_curve(hardy_weinberg_curve(), n)
     return a0, a1, s.u1, s.u2
+
+
+def _facet_tables(metrics):
+    """Facet tables of random_metric(3, 0..399) and the fixture metrics."""
+    ds = [random_metric(3, seed) for seed in range(400)] + list(metrics.values())
+    return [_facet_data(d) for d in ds]
+
+
+def test_facet_functionals_are_antipodal(metrics):
+    # the half-facet gauge and bounds rest on a[f + m/2] == -a[f]
+    for exact, a0, a1 in _facet_tables(metrics):
+        m = len(exact)
+        assert m in (4, 6)
+        for f in range(m // 2):
+            assert exact[f + m // 2] == (-exact[f][0], -exact[f][1])
+        assert np.array_equal(a0[m // 2:], -a0[:m // 2])
+        assert np.array_equal(a1[m // 2:], -a1[:m // 2])
+
+
+def test_gauge_matches_the_full_facet_loop_bit_for_bit(metrics):
+    rng = np.random.default_rng(16)
+    t1, t2 = rng.random(64), rng.random(64)             # points of the unit square
+    # samples: eight of those points, then points out to |s| <= 50
+    s1 = np.concatenate([t1[:8], rng.uniform(-50.0, 50.0, 56)])
+    s2 = np.concatenate([t2[:8], rng.uniform(-50.0, 50.0, 56)])
+    diffs = [(np.zeros((4, 5)), np.zeros((4, 5))),            # zero differences
+             (t1 - t1[:, None], t2 - t2[:, None]),            # equal points on the diagonal
+             (s1 - t1[:, None], s2 - t2[:, None])]
+    for _, a0, a1 in _facet_tables(metrics):
+        for d1, d2 in diffs:
+            want = full_gauge(a0, a1, d1, d2, np.empty(d1.shape))
+            got = gauge(a0, a1, d1, d2, np.empty(d1.shape))
+            assert got.tobytes() == want.tobytes()
 
 
 # sha256 of the int64 classify_grid labels at 128^2 with 201 samples, as
