@@ -1,6 +1,7 @@
 """End-to-end CLI tests: in-process main(argv), JSON captured from stdout."""
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -180,6 +181,27 @@ def test_raster_writes_ppm_and_svg(tmp_path, capsys):
     header = ppm.read_bytes()[:15].split()
     assert header[:4] == [b"P6", b"48", b"48", b"255"]
     assert "<svg" in svg.read_text()
+
+
+# sha256 of the SVG files the CLI writes: a moved hull vertex, generator
+# dot, curve point or tangency mark changes the bytes
+@pytest.mark.parametrize("rows, argv, digest", [
+    (UNIT, ["ball", "--center", "1/3,1/3,1/3", "--radius", "1/4"],
+     "6d2e7596ca8b4d77c6c629045098cc361b2363151fdae2d0d20bd3534cafa9d1"),
+    (LINE, ["ball", "--center", "1/3,1/3,1/3", "--radius", "1/4"],
+     "92166e08ed5df19daad7faf875f0b18f3f8861c586d2a2957ac5b22a21064ea8"),
+    (THREE_CELL, ["raster", "--samples", "11", "--resolution", "8"],
+     "a43352f049a62470716fab53b75a4b48cc4c590236f3587edee9c5d420e40d84"),
+    (UNIT, ["raster", "--curve", "circle", "--circle-radius", "0.7",
+            "--samples", "11", "--resolution", "8"],
+     "db0c6e97c8ee68e9fd973de51d9f04329a7a45ab7007eec002b599ff129e02d9"),
+], ids=["ball-hexagon", "ball-quadrilateral", "raster-hw", "raster-circle"])
+def test_svg_bytes_pinned(tmp_path, capsys, rows, argv, digest):
+    svg = tmp_path / "out.svg"
+    code, out = run(argv[:1] + ["--metric", metric_file(tmp_path, rows)] + argv[1:]
+                    + ["--svg", str(svg)], capsys)
+    assert code == 0 and out["svg"] == str(svg)
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
 
 
 def test_metric_file_errors(tmp_path, capsys):

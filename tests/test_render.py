@@ -1,5 +1,7 @@
 """PPM and SVG output checks."""
 
+import hashlib
+
 import numpy as np
 
 from polyvor import build_ball, hardy_weinberg_curve, raster_voronoi, sample_curve
@@ -63,3 +65,13 @@ def test_overlay_svg_contents(tmp_path, metrics):
     assert "<polyline" in text                  # the curve
     assert text.count("<polygon") == 2
     assert text.count("<circle") == 1           # the mark
+
+
+def test_ball_svg_with_a_float_center_is_pinned(tmp_path, metrics):
+    # a float center is taken at its exact binary values, so the dots sit
+    # at rationals of large denominator; their printed floats are pinned
+    ball = build_ball((0.2, 0.3, 0.5), Fraction(1, 5), metrics["line"])
+    path = tmp_path / "b.svg"
+    ball_svg(ball, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "983a3f9dc22647fa36e48f0cb79313b3970dd0916c58c251f8ed728dd0d37aae"
