@@ -7,7 +7,6 @@ Voronoi diagrams that confirm the counts pixel by pixel.
 
 from polyvor.ball import (
     PolyBall,
-    ball_generators,
     build_ball,
     edge_directions,
 )
@@ -23,9 +22,7 @@ from polyvor.curve import (
     ParametricCurve,
     circle_curve,
     hardy_weinberg_curve,
-    veronese_curve,
     veronese_point,
-    veronese_tangent,
 )
 from polyvor.metrics import (
     FiniteMetric,
@@ -40,7 +37,6 @@ from polyvor.metrics import (
 from polyvor.transport import (
     AffinePoint,
     DimensionMismatch,
-    DirectionVector,
     Infeasible,
     TransportPlan,
     as_affine_point,

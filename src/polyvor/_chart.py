@@ -2,9 +2,10 @@
 
 Two charts are used side by side:
 
-* the rational chart ``(t1, t2)``: drop the last coordinate.  Linear and
-  exact, so every sign predicate (hull orientation, cone membership) is
-  evaluated here on Fractions.
+* the rational chart ``(t1, t2)``: drop the last coordinate; a point lifts
+  back with t3 = 1 - t1 - t2 and a vector with t3 = -t1 - t2.  Linear and
+  exact, so the exact planar geometry (unit hull, facet table, certificate
+  edges) runs on Fraction pairs here.
 * the plotting chart ``(t1 + t2/2, sqrt(3)/2 * t2)``: the equilateral
   drawing of the simplex.  Up to a global scale it is an isometry for the
   Euclidean metric induced on the hyperplane, so Euclidean constructions
@@ -20,15 +21,11 @@ HALF_SQRT3 = SQRT3 / 2.0
 INV_HALF_SQRT3 = 2.0 / SQRT3
 
 
-def chart2(coords):
-    """Rational chart of a 3-coordinate point or vector: drop the last entry."""
-    return coords[0], coords[1]
-
-
 def plot_xy(coords):
-    """Plotting chart of a 3-coordinate point or vector, in floats.
+    """Plotting chart of a point or vector, in floats.
 
-    Maps numpy columns too: ``plot_xy(points.T)`` charts every row.
+    Reads only the first two coordinates, so a rational-chart pair maps
+    too, and so do numpy columns: ``plot_xy(points.T)`` charts every row.
     """
     t1, t2 = coords[0], coords[1]
     return t1 + 0.5 * t2, HALF_SQRT3 * t2
@@ -39,10 +36,3 @@ def plot_to_point(x, y):
     t2 = y * INV_HALF_SQRT3
     t1 = x - 0.5 * t2
     return t1, t2, 1.0 - t1 - t2
-
-
-def plot_to_direction(a, b):
-    """Invert the plotting chart on a vector; returns a sum-zero triple."""
-    t2 = b * INV_HALF_SQRT3
-    t1 = a - 0.5 * t2
-    return t1, t2, -t1 - t2

@@ -6,6 +6,8 @@ once per metric, exactly: every generator is a vertex unless its triangle
 inequality is tight (d_ij = d_ik + d_kj), so the hull has 6 vertices, or 4
 exactly when a triangle inequality is tight; every ball is a scaled
 translate of it.  Balls are planar: other n raise DimensionMismatch.
+The geometry runs on exact rational-chart pairs (t1, t2); a vector leaves
+the module as the triple (t1, t2, -t1 - t2).
 """
 
 from __future__ import annotations
@@ -14,28 +16,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from polyvor._chart import chart2
 from polyvor.metrics import FiniteMetric
-from polyvor.transport import (
-    AffinePoint,
-    DimensionMismatch,
-    DirectionVector,
-    exact_point,
-)
+from polyvor.transport import AffinePoint, DimensionMismatch, exact_point
 
 
-def _generator(d: FiniteMetric, i: int, j: int) -> DirectionVector:
-    """The generator (e_i - e_j)/d_ij, exact."""
-    coords = [Fraction(0)] * d.n_states
-    coords[i] = 1 / d[i, j]
-    coords[j] = -1 / d[i, j]
-    return DirectionVector(tuple(coords))
+def _generator(d: FiniteMetric, i: int, j: int) -> tuple:
+    """The generator (e_i - e_j)/d_ij in the rational chart (t1, t2), exact."""
+    g = [Fraction(0)] * 3
+    g[i] = 1 / d[i, j]
+    g[j] = -g[i]
+    return g[0], g[1]
 
 
-def ball_generators(d: FiniteMetric):
-    """Generators (e_i - e_j)/d_ij for all ordered pairs i != j."""
-    k = d.n_states
-    return [_generator(d, i, j) for i in range(k) for j in range(k) if i != j]
+def _lift(v) -> tuple:
+    """The sum-zero triple (t1, t2, -t1 - t2) of a rational-chart vector."""
+    return v[0], v[1], -v[0] - v[1]
 
 
 # the generators' rays in counterclockwise order in the rational chart:
@@ -50,14 +45,14 @@ def unit_hull(d: FiniteMetric) -> tuple:
     Every g_ij is a vertex unless d_ij = d_ik + d_kj; then g_ij lies on the
     edge from g_ik to g_kj, at (e_i - e_j)/(d_ik + d_kj), and the ball is a
     quadrilateral.  (At most one triangle inequality is tight.)  The
-    vertices run counterclockwise from the least rational-chart point,
-    computed once per metric.  Every ball of ``d`` is c + r*g over this
-    sequence and the gauge's facet table follows it, so vertex, edge and
-    facet indices agree everywhere.
+    vertices are rational-chart pairs (t1, t2), counterclockwise from the
+    least one, computed once per metric.  Every ball of ``d`` is c + r*g
+    over this sequence and the gauge's facet table follows it, so vertex,
+    edge and facet indices agree everywhere.
     """
     verts = [_generator(d, i, j) for i, j in _CYCLE
              if d[i, j] != d[i, 3 - i - j] + d[3 - i - j, j]]
-    k = min(range(len(verts)), key=lambda a: chart2(verts[a].coords))
+    k = verts.index(min(verts))
     return tuple(verts[k:] + verts[:k])
 
 
@@ -67,9 +62,9 @@ class PolyBall:
 
     center: AffinePoint
     radius: Fraction
-    generators: tuple
+    generators: tuple      # six Fraction triples g_ij, ordered by (i, j)
     hull_vertices: tuple   # CCW AffinePoints
-    edges: tuple           # ((vertex index pair), inward normal) per edge
+    edges: tuple           # ((vertex index pair), inward normal triple) per edge
 
     @property
     def vertex_count(self) -> int:
@@ -90,17 +85,20 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
         raise ValueError("radius must be positive")
     if len(c.coords) != d.n_states:
         raise DimensionMismatch("center dimension does not match the metric")
-    gens = tuple(ball_generators(d))
-    verts = tuple(c.translate(g, r) for g in unit_hull(d))
-    m = len(verts)
+    gens = tuple(_lift(_generator(d, i, j)) for i in range(3) for j in range(3) if i != j)
+    c1, c2, c3 = c.coords
+    hull = unit_hull(d)
+    verts = tuple(AffinePoint((c1 + r * g1, c2 + r * g2, c3 - r * (g1 + g2)))
+                  for g1, g2 in hull)
+    m = len(hull)
 
     edges = []
     for a in range(m):
         b = (a + 1) % m
-        u = (verts[b] - verts[a]).coords
-        # the left normal of a counterclockwise edge points inward
-        nrm = DirectionVector((u[2] - u[1], u[0] - u[2], u[1] - u[0]))
-        edges.append(((a, b), nrm))
+        u0, u1 = r * (hull[b][0] - hull[a][0]), r * (hull[b][1] - hull[a][1])
+        # the left normal of a counterclockwise edge points inward: with the
+        # edge (u0, u1, u2), u2 = -u0 - u1, it is (u2 - u1, u0 - u2, u1 - u0)
+        edges.append(((a, b), (-u0 - 2 * u1, 2 * u0 + u1, u1 - u0)))
 
     return PolyBall(c, r, gens, verts, tuple(edges))
 
@@ -108,14 +106,13 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
 def edge_directions(d: FiniteMetric):
     """The three edge-direction classes (a), (b), (c) of a planar ball.
 
-    Differences of generators: (a) g12-g13, (b) g13-g23, (c) g12-g32.
-    Every edge of every ball of ``d`` is parallel to one of these.
+    Differences of generators: (a) g12-g13, (b) g13-g23, (c) g12-g32, as
+    sum-zero Fraction triples.  Every edge of every ball of ``d`` is
+    parallel to one of these.
     """
     if d.n != 2:
         raise DimensionMismatch("edge direction classes are defined for n = 2")
 
-    return [
-        _generator(d, 0, 1) - _generator(d, 0, 2),
-        _generator(d, 0, 2) - _generator(d, 1, 2),
-        _generator(d, 0, 1) - _generator(d, 2, 1),
-    ]
+    g12, g13, g23, g32 = (_generator(d, i, j) for i, j in ((0, 1), (0, 2), (1, 2), (2, 1)))
+    return [_lift((g[0] - h[0], g[1] - h[1]))
+            for g, h in ((g12, g13), (g13, g23), (g12, g32))]

@@ -68,7 +68,7 @@ def cmd_ball(args):
     out = {
         "vertex_count": ball.vertex_count,
         "vertices": [fmt_seq(v.coords) for v in ball.hull_vertices],
-        "edges": [{"vertices": list(pair), "normal": fmt_seq(nrm.coords)}
+        "edges": [{"vertices": list(pair), "normal": fmt_seq(nrm)}
                   for pair, nrm in ball.edges],
     }
     if args.svg:
@@ -82,7 +82,7 @@ def cmd_tangency(args):
     census = count_full_dim_cells_hw(d)
     return {
         "entries": [{"p": fmt(e.p_star), "case": e.edge_case,
-                     "direction": fmt_seq(e.direction.coords)}
+                     "direction": fmt_seq(e.direction)}
                     for e in census.entries],
         "degenerate": list(census.degenerate),
     }

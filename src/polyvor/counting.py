@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from polyvor.ball import edge_directions
 from polyvor.metrics import FiniteMetric
-from polyvor.transport import DirectionVector
 
 
 class OddFacetCount(ValueError):
@@ -32,7 +31,7 @@ class OddFacetCount(ValueError):
 class TangencyEntry:
     p_star: Fraction
     edge_case: str          # 'a', 'b' or 'c'
-    direction: DirectionVector
+    direction: tuple        # the class's edge direction, a sum-zero Fraction triple
 
 
 @dataclass(frozen=True)

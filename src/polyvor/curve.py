@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from polyvor import _chart
-from polyvor.transport import AffinePoint, DirectionVector
+from polyvor.transport import AffinePoint
 
 
 class ParameterOutOfRange(ValueError):
@@ -34,38 +34,16 @@ def veronese_point(n: int, p) -> AffinePoint:
     return AffinePoint(coords)
 
 
-def veronese_tangent(n: int, p) -> DirectionVector:
-    """Derivative in p of the Veronese point (a sum-zero vector)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not isinstance(p, float):
-        p = Fraction(p)
-    q = 1 - p
-    coords = []
-    for k in range(n + 1):
-        c = math.comb(n, k)
-        up = (n - k) * p ** (n - k - 1) * q ** k if k < n else 0 * p
-        down = k * p ** (n - k) * q ** (k - 1) if k > 0 else 0 * p
-        coords.append(c * (up - down))
-    return DirectionVector(tuple(coords))
-
-
 @dataclass(frozen=True)
 class ParametricCurve:
-    """A curve [0,1] -> simplex: a point map and its tangent field."""
+    """A curve [0,1] -> simplex, given by its point map p |-> AffinePoint."""
 
     eval: Callable
-    tangent: Callable
 
 
 def hardy_weinberg_curve() -> ParametricCurve:
-    """The n = 2 Veronese curve; its tangent is (2p, 2-4p, 2p-2)."""
-    return veronese_curve(2)
-
-
-def veronese_curve(n: int) -> ParametricCurve:
-    return ParametricCurve(lambda p: veronese_point(n, p),
-                           lambda p: veronese_tangent(n, p))
+    """The n = 2 Veronese curve p |-> (p^2, 2p(1-p), (1-p)^2)."""
+    return ParametricCurve(lambda p: veronese_point(2, p))
 
 
 def circle_curve(radius: float = 0.2) -> ParametricCurve:
@@ -80,11 +58,5 @@ def circle_curve(radius: float = 0.2) -> ParametricCurve:
         coords = _chart.plot_to_point(cx + rho * math.cos(th), cy + rho * math.sin(th))
         return AffinePoint(coords)
 
-    def tan(p):
-        th = 2.0 * math.pi * p
-        a = -2.0 * math.pi * rho * math.sin(th)
-        b = 2.0 * math.pi * rho * math.cos(th)
-        return DirectionVector(_chart.plot_to_direction(a, b))
-
-    return ParametricCurve(ev, tan)
+    return ParametricCurve(ev)
 

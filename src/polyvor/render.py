@@ -78,8 +78,8 @@ def ball_svg(ball, path):
     svg.polygon([plot_xy(v.coords) for v in ball.hull_vertices],
                 stroke="#b2541f", fill="#f4e0cf", width=2.0)
     for g in ball.generators:
-        p = ball.center.translate(g, ball.radius)
-        svg.dot(plot_xy(p.coords), r=3.0, fill="#7a7a7a")
+        p = [c + ball.radius * w for c, w in zip(ball.center.coords, g)]
+        svg.dot(plot_xy(p), r=3.0, fill="#7a7a7a")
     svg.dot(plot_xy(ball.center.coords), r=3.5, fill="#222")
     svg.write(path)
 

@@ -1,10 +1,10 @@
 """Points of the hyperplane sum(t) = 1 and Wasserstein distances on it.
 
-``AffinePoint`` and ``DirectionVector`` hold exact (Fraction) or float
-coordinates.  Points live on the whole hyperplane: the polyhedral
-Wasserstein distance is a norm there, so balls and certificate witnesses
-may leave the simplex.  Only the two transport endpoints must be
-probability distributions, and ``wasserstein_distance`` checks that.
+``AffinePoint`` holds exact (Fraction) or float coordinates.  Points live
+on the whole hyperplane: the polyhedral Wasserstein distance is a norm
+there, so balls and certificate witnesses may leave the simplex.  Only
+the two transport endpoints must be probability distributions, and
+``wasserstein_distance`` checks that.
 
 ``wasserstein_distance`` leaves min(mu_i, nu_i) in place at every state i
 and solves the transportation LP only from the excess states S (mu > nu)
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-SUM_TOL = 1e-9     # tolerance on sum(t) = 1 and sum(v) = 0 for float coordinates
+SUM_TOL = 1e-9     # tolerance on sum(t) = 1 for float coordinates
 FEAS_TOL = 1e-12   # how far below 0 a float transport endpoint may reach
 
 
@@ -74,35 +74,6 @@ class AffinePoint:
     @property
     def is_exact(self) -> bool:
         return _is_exact(self.coords)
-
-    def __sub__(self, other: "AffinePoint") -> "DirectionVector":
-        if len(self.coords) != len(other.coords):
-            raise DimensionMismatch("points live in different simplices")
-        return DirectionVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def translate(self, v: "DirectionVector", scale=1) -> "AffinePoint":
-        if len(self.coords) != len(v.coords):
-            raise DimensionMismatch("vector dimension does not match point")
-        return AffinePoint(tuple(c + scale * w for c, w in zip(self.coords, v.coords)))
-
-
-@dataclass(frozen=True)
-class DirectionVector:
-    """A vector in the sum-zero hyperplane (difference of affine points)."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _coerce_coords(self.coords))
-        if abs(sum(self.coords)) > (0 if self.is_exact else SUM_TOL):
-            raise ValueError("direction coordinates must sum to 0")
-
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact(self.coords)
-
-    def __sub__(self, other: "DirectionVector") -> "DirectionVector":
-        return DirectionVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
 
 def as_affine_point(obj) -> AffinePoint:

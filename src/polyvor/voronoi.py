@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from polyvor import _kernels
-from polyvor._chart import chart2, plot_to_point, plot_xy
+from polyvor._chart import plot_to_point, plot_xy
 from polyvor.ball import unit_hull
 from polyvor.curve import ParametricCurve
 from polyvor.metrics import FiniteMetric
@@ -46,7 +46,7 @@ def _facet_data(d: FiniteMetric):
     """
     if d.n != 2:
         raise ValueError("raster classification is planar (n = 2)")
-    hull = [chart2(g.coords) for g in unit_hull(d)]
+    hull = unit_hull(d)
     exact = []
     for idx, p in enumerate(hull):
         q = hull[(idx + 1) % len(hull)]
@@ -178,11 +178,13 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
                    tie_tolerance: float = DEFAULT_TIE_TOL) -> VoronoiRaster:
     """Label a resolution^2 grid with nearest-sample indices under ``d``.
 
-    The int64 label array, plus the kernel's per-band bounds, may take at
-    most a quarter of physical memory: counting and rendering each make
-    label-sized copies of the labels.  The bounds take about 32 B per
-    sample for each segment of a band (SEG tiles), or for each tile of one
-    segment when the band has fewer segments than that.
+    The int64 label array, plus the kernel's per-band bounds and per-tile
+    distances, may take at most a quarter of physical memory: counting and
+    rendering each make label-sized copies of the labels.  The bounds take
+    about 32 B per sample for each segment of a band (SEG tiles), or for
+    each tile of one segment when the band has fewer segments than that.
+    A tile's distances take five float arrays of TILE^2 rows and one column
+    per kept sample, and at small R a tile keeps nearly every sample.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -193,6 +195,9 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     size += 32 * regions * sample.count
     _check_memory(size, f"resolution {resolution} with {sample.count} samples "
                         f"needs {size} B of labels and tile bounds")
+    size += 40 * _kernels.TILE ** 2 * sample.count
+    _check_memory(size, f"resolution {resolution} with {sample.count} samples "
+                        f"needs {size} B of labels, tile bounds and tile distances")
     _check_nonnegative("tie tolerance", tie_tolerance)
     _, a0, a1 = _facet_data(d)
     labels = _kernels.classify_grid(resolution, a0, a1, sample.u1, sample.u2,
@@ -265,7 +270,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
         return abs((ex * tx + ey * ty) / h)
 
     hull = unit_hull(d)
-    edges = [plot_xy((b - a).coords) for a, b in zip(hull, hull[1:] + hull[:1])]
+    edges = [plot_xy((b[0] - a[0], b[1] - a[1])) for a, b in zip(hull, hull[1:] + hull[:1])]
     edges.sort(key=alignment, reverse=True)
 
     floor = 4.0 * sample.spacing()

@@ -4,7 +4,8 @@ Each oracle computes something the library also computes, by a route that
 shares as little code with it as possible:
 
 * ``gauge_distance`` -- the distance as the gauge of the unit ball, via an
-  exact two-phase simplex over the ball generators (valid off the simplex);
+  exact two-phase simplex over the ball generators (valid off the simplex),
+  and ``ball_generators`` -- the generators (e_i - e_j)/d_ij of any n;
 * ``brute_force_distance`` -- the transport cost by enumerating every
   spanning tree of the complete bipartite graph, hopeless asymptotically,
   which is what makes it independent on small instances;
@@ -16,7 +17,11 @@ shares as little code with it as possible:
 * ``face_cone_decomposition_check`` -- the face cones of a ball partition
   the plane;
 * ``half_ball_test`` -- the curve stays on one side of a line near a point;
-* ``planar_tangency_points`` -- tangency parameters by numeric bracketing;
+* ``planar_tangency_points`` -- tangency parameters by numeric bracketing
+  of a tangent field;
+* ``veronese_tangent``, ``hw_tangent`` and ``circle_tangent`` -- the
+  curves' tangent fields, by differentiating their closed forms, and
+  ``veronese_curve`` -- the Veronese curve of any degree n;
 * ``full_gauge`` -- the float gauge as the running max over all m facet
   functionals, without the central-symmetry shortcut of ``_kernels.gauge``;
 * ``brute_classify_grid`` -- raster labels from every pixel x sample pair
@@ -25,7 +30,8 @@ shares as little code with it as possible:
 
 Two helpers at the end are not independent: ``exact_gauge`` and
 ``classify`` read the library's own facet table (``_facet_data``), so they
-only give the tests an exact gauge and a single-point label.
+only give the tests an exact gauge and a single-point label.  ``chart2``
+reads the rational chart (t1, t2) off a point or vector.
 
 Only tests import this module; pytest puts ``tests/`` on ``sys.path``.
 """
@@ -39,13 +45,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from polyvor import _chart, _kernels
-from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, chart2, plot_xy
+from polyvor import _kernels
+from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, plot_xy
 from polyvor._kernels import OUTSIDE, _nearest
-from polyvor.curve import ParametricCurve
+from polyvor.curve import ParametricCurve, veronese_point
 from polyvor.transport import (
     DimensionMismatch,
-    DirectionVector,
     Infeasible,
     _network_simplex,
     as_affine_point,
@@ -58,19 +63,14 @@ class TooLarge(ValueError):
     """Instance too big for exhaustive enumeration."""
 
 
-def as_direction(obj) -> DirectionVector:
-    if isinstance(obj, DirectionVector):
-        return obj
-    return DirectionVector(tuple(obj))
+def chart2(coords):
+    """Rational chart of a 3-coordinate point or vector: drop the last entry."""
+    return coords[0], coords[1]
 
 
-def exact_direction(v) -> DirectionVector:
-    """Exact-rational copy of a vector; the last coordinate absorbs float slack."""
-    v = as_direction(v)
-    if v.is_exact:
-        return v
-    head = [Fraction(c) for c in v.coords[:-1]]
-    return DirectionVector(tuple(head) + (-sum(head),))
+def _chart_difference(p, q):
+    """Rational chart of the vector p - q between two AffinePoints."""
+    return p.coords[0] - q.coords[0], p.coords[1] - q.coords[1]
 
 
 # ---------------------------------------------------------------------------
@@ -113,26 +113,45 @@ def _simplex_min(T, basis, costs):
         _pivot(T, basis, row, entering)
 
 
+def ball_generators(d):
+    """Generators (e_i - e_j)/d_ij for all ordered pairs i != j, any n.
+
+    Exact sum-zero tuples, in (i, j) order.
+    """
+    k = d.n_states
+    gens = []
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                g = [Fraction(0)] * k
+                g[i] = 1 / d[i, j]
+                g[j] = -1 / d[i, j]
+                gens.append(tuple(g))
+    return gens
+
+
 def gauge_distance(x, y, generators) -> Fraction:
     """Distance from x to y as the gauge of conv(generators) at y - x.
 
     Exact: solves  min sum(lambda)  s.t.  G lambda = y - x, lambda >= 0
-    by a two-phase simplex on Fractions.  Valid anywhere on the hyperplane,
-    in particular outside the simplex.  Raises Infeasible when y - x is not
-    in the span of the generators.  For the distance to be symmetric the
-    generator set should be centrally symmetric (not enforced here).
+    by a two-phase simplex on Fractions; the generators are exact sum-zero
+    tuples.  Valid anywhere on the hyperplane, in particular outside the
+    simplex.  Raises Infeasible when y - x is not in the span of the
+    generators.  For the distance to be symmetric the generator set should
+    be centrally symmetric (not enforced here).
     """
     x = exact_point(as_affine_point(x))
     y = exact_point(as_affine_point(y))
     if len(x.coords) != len(y.coords):
         raise DimensionMismatch("points live in different simplices")
-    gens = [exact_direction(g) for g in generators]
+    gens = [tuple(Fraction(c) for c in g) for g in generators]
     if not gens:
         raise Infeasible("no generators")
-    if any(len(g.coords) != len(x.coords) for g in gens):
+    if any(len(g) != len(x.coords) for g in gens):
         raise DimensionMismatch("generator dimension does not match the points")
 
-    w = (y - x).coords[:-1]  # rational chart: sum-zero, last coord redundant
+    # rational chart: sum-zero, last coord redundant
+    w = [b - a for a, b in zip(x.coords, y.coords)][:-1]
     n = len(w)
     m = len(gens)
     if all(v == 0 for v in w):
@@ -141,7 +160,7 @@ def gauge_distance(x, y, generators) -> Fraction:
     # phase 1 tableau with artificial columns; rows flipped to keep rhs >= 0
     T = []
     for r in range(n):
-        row = [g.coords[r] for g in gens]
+        row = [g[r] for g in gens]
         b = w[r]
         if b < 0:
             row = [-a for a in row]
@@ -312,17 +331,17 @@ def face_cone_membership(ball, face, y) -> bool:
     if not 0 <= face < 2 * m:
         raise ValueError(f"face index {face} is not one of the ball's {2 * m} faces")
 
-    u = chart2((y - x).coords)
+    u = _chart_difference(y, x)
     if u == (0, 0):
         return False
 
     opp = (face + m // 2) % m
-    av = chart2((ball.hull_vertices[opp] - x).coords)
+    av = _chart_difference(ball.hull_vertices[opp], x)
     if face < m:
         cross = u[0] * av[1] - u[1] * av[0]
         dot = u[0] * av[0] + u[1] * av[1]
         return cross == 0 and dot > 0
-    bv = chart2((ball.hull_vertices[(opp + 1) % m] - x).coords)
+    bv = _chart_difference(ball.hull_vertices[(opp + 1) % m], x)
     det = av[0] * bv[1] - av[1] * bv[0]
     alpha = (u[0] * bv[1] - u[1] * bv[0]) / det
     beta = (av[0] * u[1] - av[1] * u[0]) / det
@@ -355,7 +374,7 @@ def half_ball_test(point, normal, curve: ParametricCurve, r: float = 0.05,
     """
     p = as_affine_point(point)
     x0, y0 = plot_xy(p.coords)
-    nrm = tuple(normal.coords) if hasattr(normal, "coords") else tuple(normal)
+    nrm = tuple(normal)
     if len(nrm) == 3:
         n0, n1 = plot_xy(nrm)
     else:
@@ -378,9 +397,57 @@ def half_ball_test(point, normal, curve: ParametricCurve, r: float = 0.05,
     return bool(np.all(s > 0.0) or np.all(s < 0.0))
 
 
-def planar_tangency_points(curve: ParametricCurve, direction, bracket_count: int = 256):
-    """Parameters where the curve's tangent is parallel to ``direction``.
+def veronese_curve(n: int) -> ParametricCurve:
+    """The Veronese curve p |-> veronese_point(n, p) of binomial densities."""
+    return ParametricCurve(lambda p: veronese_point(n, p))
 
+
+def veronese_tangent(n: int, p) -> tuple:
+    """Derivative in p of ``veronese_point(n, p)``, a sum-zero tuple.
+
+    Exact for exact p, float for float p.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not isinstance(p, float):
+        p = Fraction(p)
+    q = 1 - p
+    coords = []
+    for k in range(n + 1):
+        c = math.comb(n, k)
+        up = (n - k) * p ** (n - k - 1) * q ** k if k < n else 0 * p
+        down = k * p ** (n - k) * q ** (k - 1) if k > 0 else 0 * p
+        coords.append(c * (up - down))
+    return tuple(coords)
+
+
+def hw_tangent(p) -> tuple:
+    """Tangent of the Hardy-Weinberg curve: (2p, 2 - 4p, 2p - 2)."""
+    return veronese_tangent(2, p)
+
+
+def circle_tangent(radius: float = 0.2):
+    """Tangent field of ``circle_curve(radius)``: p |-> a sum-zero float triple.
+
+    The derivative of the plotting-chart circle, taken back through the
+    inverse of the (linear) plotting chart.
+    """
+    def tangent(p):
+        th = 2.0 * math.pi * p
+        a = -2.0 * math.pi * radius * math.sin(th)
+        b = 2.0 * math.pi * radius * math.cos(th)
+        t2 = b * INV_HALF_SQRT3
+        t1 = a - 0.5 * t2
+        return t1, t2, -t1 - t2
+
+    return tangent
+
+
+def planar_tangency_points(curve: ParametricCurve, tangent, direction,
+                           bracket_count: int = 256):
+    """Parameters where ``tangent(p)`` is parallel to ``direction``.
+
+    ``tangent`` is the curve's tangent field, p |-> a sum-zero triple.
     Numeric counterpart of ``count_full_dim_cells_hw``: sign changes of the
     plotting-chart cross product are bracketed on a uniform grid and
     bisected to 1e-12.  Open curves report interior parameters only; on
@@ -389,13 +456,10 @@ def planar_tangency_points(curve: ParametricCurve, direction, bracket_count: int
     """
     if bracket_count < 2:
         raise ValueError("bracket_count must be at least 2")
-    if isinstance(direction, DirectionVector):
-        dx, dy = _chart.plot_xy(direction.coords)
-    else:
-        dx, dy = _chart.plot_xy(tuple(direction))
+    dx, dy = plot_xy(tuple(direction))
 
     def g(p):
-        tx, ty = _chart.plot_xy(curve.tangent(p).coords)
+        tx, ty = plot_xy(tangent(p))
         return tx * dy - ty * dx
 
     grid = [i / bracket_count for i in range(bracket_count + 1)]
@@ -422,8 +486,8 @@ def planar_tangency_points(curve: ParametricCurve, direction, bracket_count: int
         roots.append(1.0)
 
     p0, p1 = curve.eval(0), curve.eval(1)
-    x0, y0 = _chart.plot_xy(p0.coords)
-    x1, y1 = _chart.plot_xy(p1.coords)
+    x0, y0 = plot_xy(p0.coords)
+    x1, y1 = plot_xy(p1.coords)
     closed = math.hypot(x1 - x0, y1 - y0) < 1e-9
 
     cleaned = []
@@ -491,7 +555,7 @@ def brute_classify_grid(res, a0, a1, s1, s2, tie_tol):
 def exact_gauge(d, w) -> Fraction:
     """Exact unit-ball gauge of a sum-zero vector via facet functionals."""
     exact, _, _ = _facet_data(d)
-    w1, w2 = chart2(w.coords if hasattr(w, "coords") else tuple(w))
+    w1, w2 = chart2(w)
     return max(_facet_values(exact, w1, w2))
 
 

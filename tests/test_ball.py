@@ -13,17 +13,17 @@ import pytest
 from polyvor import (
     DimensionMismatch,
     build_ball,
-    ball_generators,
+    count_full_dim_cells_hw,
     edge_directions,
 )
-from polyvor._chart import chart2
 from polyvor.ball import unit_hull
 from polyvor.metrics import random_metric, validate_metric
 from polyvor.transport import AffinePoint
 from polyvor.voronoi import _facet_data
 
 from oracles import (
-    as_direction,
+    ball_generators,
+    chart2,
     exact_gauge,
     face_cone_decomposition_check,
     face_cone_membership,
@@ -100,8 +100,8 @@ def test_quadrilateral_drops_absorbed_generator(metrics):
             if (i, j) not in pair:
                 g = [F(0)] * 3
                 g[i - 1], g[j - 1] = 1 / d[i - 1, j - 1], -1 / d[i - 1, j - 1]
-                want.append(tuple(g))
-        got = [g.coords for g in unit_hull(d)]
+                want.append(chart2(g))
+        got = list(unit_hull(d))
         assert len(got) == 6 - len(pair)
         k = want.index(got[0])
         assert got == want[k:] + want[:k]
@@ -113,7 +113,7 @@ def test_hull_matches_gift_wrapping_random():
         d = random_metric(3, int(rng.integers(0, 100000)))
         ball = build_ball((F(1, 3), F(1, 3), F(1, 3)), F(2, 5), d)
         got = hull_chart(ball)
-        pts = [chart2(tuple(F(1, 3) + F(2, 5) * c for c in g.coords))
+        pts = [chart2(tuple(F(1, 3) + F(2, 5) * c for c in g))
                for g in ball.generators]
         want = wrap_hull(pts)
         # same cyclic order; both CCW; align at the minimum
@@ -129,7 +129,7 @@ def test_gauge_is_radius_on_hull(metrics):
         d = metrics[name]
         ball = build_ball(CENTROID, F(2, 7), d)
         for v in ball.hull_vertices:
-            w = as_direction(tuple(a - b for a, b in zip(v.coords, CENTROID)))
+            w = tuple(a - b for a, b in zip(v.coords, CENTROID))
             assert exact_gauge(d, w) == F(2, 7)
 
 
@@ -169,7 +169,7 @@ def test_faces_and_opposites(metrics):
             opp, opp_normal = ball.edges[(a + half) % m]
             assert {ball.hull_vertices[k].coords for k in opp} \
                 == {mirror(k) for k in pair}
-            assert opp_normal.coords == tuple(-c for c in normal.coords)
+            assert opp_normal == tuple(-c for c in normal)
 
 
 def test_facet_functionals_follow_ball_edge_order(metrics):
@@ -181,7 +181,8 @@ def test_facet_functionals_follow_ball_edge_order(metrics):
         assert len(exact) == len(ball.edges)
         for f, ((a, b), _) in enumerate(ball.edges):
             for v in (ball.hull_vertices[a], ball.hull_vertices[b]):
-                w1, w2 = chart2((v - ball.center).coords)
+                w1 = v.coords[0] - ball.center.coords[0]
+                w2 = v.coords[1] - ball.center.coords[1]
                 assert exact[f][0] * w1 + exact[f][1] * w2 == r
 
 
@@ -191,7 +192,7 @@ def _geometry_text(ball):
         return ",".join(str(v) for v in values)
 
     verts = [row(v.coords) for v in ball.hull_vertices]
-    edges = [f"{a} {b} {row(n.coords)}" for (a, b), n in ball.edges]
+    edges = [f"{a} {b} {row(n)}" for (a, b), n in ball.edges]
     return "|".join((";".join(verts), ";".join(edges)))
 
 
@@ -216,7 +217,7 @@ def test_edge_normals_point_inward(metrics):
             va, vb = ball.hull_vertices[a], ball.hull_vertices[b]
             mid = tuple((x + y) / 2 for x, y in zip(va.coords, vb.coords))
             inward = sum(n * (c - mm)
-                         for n, c, mm in zip(normal.coords, CENTROID, mid))
+                         for n, c, mm in zip(normal, CENTROID, mid))
             assert inward > 0
 
 
@@ -260,7 +261,7 @@ def test_edge_directions_three_classes(metrics):
     dirs = edge_directions(metrics["two_cell"])
     assert len(dirs) == 3
     for v in dirs:
-        assert sum(v.coords) == 0
+        assert sum(v) == 0
     d4 = random_metric(4, 1)
     with pytest.raises(DimensionMismatch):
         edge_directions(d4)
@@ -277,11 +278,35 @@ def test_facet_count_bound_values():
 
 
 def test_generators_ordered_pairs(metrics):
-    gens = ball_generators(metrics["line"])
+    gens = build_ball(CENTROID, 1, metrics["line"]).generators
     assert len(gens) == 6
     seen = set()
     for g in gens:
-        nz = [c for c in g.coords if c != 0]
+        nz = [c for c in g if c != 0]
         assert sorted(nz)[0] < 0 < sorted(nz)[1]
-        seen.add(tuple(g.coords))
+        seen.add(g)
     assert len(seen) == 6
+
+
+def _fraction_triple_summing_to(v, total):
+    return len(v) == 3 and all(type(c) is F for c in v) and sum(v) == total
+
+
+def test_exact_geometry_leaves_as_fraction_triples(metrics):
+    # balls and censuses compute on rational-chart pairs and lift at the
+    # library's edge: every vector must leave as a sum-zero Fraction triple
+    # and every vertex as a point of the plane sum(t) = 1
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    for d in _fixture_and_random_metrics(metrics, 400):
+        ball = build_ball(CENTROID, F(2, 5), d)
+        gens = ball_generators(d)
+        assert list(ball.generators) == gens          # (i, j) order
+        vectors = list(ball.generators) + [n for _, n in ball.edges] \
+            + [e.direction for e in count_full_dim_cells_hw(d).entries]
+        assert all(_fraction_triple_summing_to(v, 0) for v in vectors)
+        assert all(_fraction_triple_summing_to(v.coords, 1) for v in ball.hull_vertices)
+        by_pair = dict(zip(pairs, gens))
+        for t1, t2 in unit_hull(d):
+            lifted = (t1, t2, -t1 - t2)
+            # g_ij is +1/d_ij at i and -1/d_ij at j
+            assert lifted == by_pair[lifted.index(max(lifted)), lifted.index(min(lifted))]

@@ -17,11 +17,17 @@ from polyvor import (
     edge_directions,
     hardy_weinberg_curve,
     validate_metric,
-    veronese_curve,
     veronese_point,
 )
 
-from oracles import planar_tangency_points
+from oracles import (
+    chart2,
+    circle_tangent,
+    hw_tangent,
+    planar_tangency_points,
+    veronese_curve,
+    veronese_tangent,
+)
 
 F = Fraction
 
@@ -46,24 +52,25 @@ def test_parameter_range():
 
 
 def test_hw_tangent_closed_form():
-    tangent = hardy_weinberg_curve().tangent
     for p in (F(0), F(1, 4), F(1, 2), F(9, 10)):
-        t = tangent(p)
-        assert t.coords == (2 * p, 2 - 4 * p, 2 * p - 2)
-        assert sum(t.coords) == 0
+        t = hw_tangent(p)
+        assert t == (2 * p, 2 - 4 * p, 2 * p - 2)
+        assert sum(t) == 0
 
 
 def test_tangent_matches_finite_differences():
     rng = np.random.default_rng(614)
-    curves = [hardy_weinberg_curve(), veronese_curve(3), circle_curve()]
+    curves = [(hardy_weinberg_curve(), hw_tangent),
+              (veronese_curve(3), lambda p: veronese_tangent(3, p)),
+              (circle_curve(), circle_tangent())]
     h = 1e-6
-    for curve in curves:
+    for curve, tangent in curves:
         for _ in range(100):
             p = float(rng.uniform(0.05, 0.95))
             a = curve.eval(p - h)
             b = curve.eval(p + h)
-            t = curve.tangent(p)
-            for i, tc in enumerate(t.coords):
+            t = tangent(p)
+            for i, tc in enumerate(t):
                 fd = (float(b.coords[i]) - float(a.coords[i])) / (2 * h)
                 scale = max(1.0, abs(fd))
                 assert abs(float(tc) - fd) <= 1e-6 * scale
@@ -99,7 +106,7 @@ def test_planar_root_finder_agrees_with_closed_form(metrics):
         want = sorted(float(p) for p in count_full_dim_cells_hw(d).parameters)
         got = set()
         for direction in edge_directions(d):
-            for r in planar_tangency_points(hw, direction):
+            for r in planar_tangency_points(hw, hw_tangent, direction):
                 got.add(round(r, 9))
         # the root finder sees every direction class; keep the ones the
         # closed form predicts and check nothing there is missed
@@ -108,9 +115,8 @@ def test_planar_root_finder_agrees_with_closed_form(metrics):
 
 
 def test_circle_horizontal_tangents():
-    circle = circle_curve()
-    horizontal = circle.tangent(0.25)
-    roots = planar_tangency_points(circle, horizontal)
+    circle, tangent = circle_curve(), circle_tangent()
+    roots = planar_tangency_points(circle, tangent, tangent(0.25))
     assert len(roots) == 2
     assert abs(roots[0] - 0.25) <= 1e-10
     assert abs(roots[1] - 0.75) <= 1e-10
@@ -130,11 +136,9 @@ def test_circle_points_on_circle():
 
 def test_tangency_direction_matches_tangent(metrics):
     """At p*, the curve tangent is parallel to the reported edge direction."""
-    from polyvor._chart import chart2
-    tangent = hardy_weinberg_curve().tangent
     for name in ("unit", "two_cell", "three_cell"):
         census = count_full_dim_cells_hw(metrics[name])
         for e in census.entries:
-            t = chart2(tangent(e.p_star).coords)
-            u = chart2(e.direction.coords)
+            t = chart2(hw_tangent(e.p_star))
+            u = chart2(e.direction)
             assert t[0] * u[1] - t[1] * u[0] == 0

@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "CurveSample",
     "DimensionCertificate",
     "DimensionMismatch",
-    "DirectionVector",
     "FiniteMetric",
     "Infeasible",
     "MetricError",
@@ -30,7 +29,6 @@ PUBLIC_NAMES = [
     "TriangleViolation",
     "VoronoiRaster",
     "as_affine_point",
-    "ball_generators",
     "build_ball",
     "circle_curve",
     "count_full_dim_cells_hw",
@@ -43,9 +41,7 @@ PUBLIC_NAMES = [
     "raster_voronoi",
     "sample_curve",
     "validate_metric",
-    "veronese_curve",
     "veronese_point",
-    "veronese_tangent",
     "wasserstein_distance",
 ]
 

@@ -21,21 +21,18 @@ from hypothesis import given, settings, strategies as st
 from polyvor import (
     AffinePoint,
     DimensionMismatch,
-    DirectionVector,
     Infeasible,
     TransportPlan,
     as_affine_point,
     exact_point,
     wasserstein_distance,
 )
-from polyvor.ball import ball_generators
 from polyvor.metrics import random_metric
 
 from oracles import (
     TooLarge,
-    as_direction,
+    ball_generators,
     brute_force_distance,
-    exact_direction,
     full_transport_distance,
     gauge_distance,
 )
@@ -66,32 +63,12 @@ def test_affine_point_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             AffinePoint((bad, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            DirectionVector((bad, -0.5, 0.5))
     # float tolerance: SUM_TOL = 1e-9 on the sum
     AffinePoint((0.5, 0.5, 5e-10))
-    DirectionVector((0.5, -0.5, 5e-10))
     tiny = F(1, 10 ** 30)
     for bad in ((0.5, 0.5, 2e-9), (F(1, 2), F(1, 2), tiny)):
         with pytest.raises(ValueError):
             AffinePoint(bad)
-    for bad in ((0.5, -0.5, 2e-9), (F(1, 2), F(-1, 2), tiny)):
-        with pytest.raises(ValueError):
-            DirectionVector(bad)
-
-
-def test_point_difference_is_direction():
-    p = AffinePoint((F(1, 2), F(1, 4), F(1, 4)))
-    q = AffinePoint((F(1, 4), F(1, 4), F(1, 2)))
-    v = p - q
-    assert isinstance(v, DirectionVector)
-    assert sum(v.coords) == 0
-    assert q.translate(v).coords == p.coords
-    r = AffinePoint((F(1, 2), F(1, 2)))
-    with pytest.raises(DimensionMismatch):
-        p - r
-    with pytest.raises(DimensionMismatch):
-        r.translate(v)
 
 
 def test_exact_point_absorbs_float_slack():
@@ -99,8 +76,6 @@ def test_exact_point_absorbs_float_slack():
     ex = exact_point(p)
     assert sum(ex.coords) == 1
     assert all(isinstance(c, F) for c in ex.coords)
-    v = exact_direction(as_direction((0.25, -0.1, -0.15)))
-    assert sum(v.coords) == 0
 
 
 def test_transport_plan_marginal_check(metrics):

@@ -11,7 +11,6 @@ from polyvor import (
     DimensionCertificate,
     DimensionMismatch,
     NotFound,
-    ball_generators,
     build_ball,
     circle_curve,
     count_full_dim_cells_hw,
@@ -20,19 +19,20 @@ from polyvor import (
     random_metric,
     raster_voronoi,
     sample_curve,
-    veronese_curve,
 )
 from polyvor import _kernels, voronoi
 from polyvor._chart import plot_xy
 from polyvor._kernels import OUTSIDE, TIE
 
 from oracles import (
+    ball_generators,
     brute_classify_grid,
     classify,
     exact_gauge,
     face_cone_decomposition_check,
     gauge_distance,
     half_ball_test,
+    veronese_curve,
 )
 
 HW = hardy_weinberg_curve()
@@ -207,6 +207,21 @@ def test_raster_refuses_tile_bounds_over_the_memory_budget(metrics):
     sample = CurveSample(flat, row, flat, flat)
     message = (f"resolution 8 with {n} samples needs {512 + 32 * n} B of labels "
                "and tile bounds, over a quarter of physical memory")
+    with pytest.raises(ValueError) as err:
+        raster_voronoi(sample, metrics["unit"], 8)
+    assert str(err.value) == message
+
+
+def test_raster_refuses_tile_distances_over_the_memory_budget(metrics, monkeypatch):
+    # 4 MiB of physical memory gives a 1 MiB budget: R = 8 with 1001
+    # samples needs 32544 B of labels and tile bounds, but the one tile
+    # keeps every sample in five (64, 1001) float arrays, 2.56 MB more
+    sample = sample_curve(HW, 1001)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    monkeypatch.setattr(voronoi.os, "sysconf", pages.__getitem__)
+    size = 512 + 32 * 1001 + 40 * 64 * 1001
+    message = (f"resolution 8 with 1001 samples needs {size} B of labels, tile bounds "
+               "and tile distances, over a quarter of physical memory")
     with pytest.raises(ValueError) as err:
         raster_voronoi(sample, metrics["unit"], 8)
     assert str(err.value) == message
