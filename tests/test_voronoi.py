@@ -1,5 +1,6 @@
 """Nearest-sample classification, rasters, and dimension certificates."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -365,6 +366,37 @@ def test_witness_on_a_vertex_direction_is_rejected(monkeypatch, metrics):
     h = 2.0 ** -6
     monkeypatch.setattr(voronoi, "plot_to_point", lambda *args: (0.25 - h, 0.5 + h, 0.25))
     assert dimension_certificate(x, sample, metrics["unit"]) == NotFound(72)
+
+
+# sha256 of certificate outcomes: a moved x or witness, a changed epsilon
+# or a different trial count shows here
+CERTIFICATE_SHA256 = "8a623c33dfd66ccb23cc21b747c7d1e4ca830938f282c0e311242daab7d4e5c1"
+
+
+def _certificate_outcomes():
+    """Outcome lines: HW census samples, two more HW samples and circle samples."""
+    hw = sample_curve(HW, 1001)
+    circle = sample_curve(circle_curve(0.7), 301)
+    for seed in range(8):
+        d = random_metric(3, seed)
+        cases = [(hw, int(np.argmin(np.abs(hw.params - float(p)))))
+                 for p in count_full_dim_cells_hw(d).parameters]
+        cases += [(hw, 70), (hw, 300)] + [(circle, k) for k in (0, 75, 150)]
+        for s, k in cases:
+            cert = dimension_certificate(tuple(s.points[k]), s, d)
+            if cert:
+                out = f"{cert.x.coords} {cert.witness_y.coords} {cert.epsilon}"
+            else:
+                out = f"trials {cert.trials}"
+            yield f"{seed} {s.count} {k} {out}"
+
+
+def test_certificate_outcomes_match_pinned_hash():
+    h = hashlib.sha256()
+    for line in _certificate_outcomes():
+        h.update(line.encode())
+        h.update(b"\n")
+    assert h.hexdigest() == CERTIFICATE_SHA256
 
 
 def test_certificate_requires_a_sample_point(metrics):
