@@ -19,7 +19,6 @@ from polyvor.counting import (
 )
 from polyvor.curve import (
     ParameterOutOfRange,
-    ParametricCurve,
     circle_curve,
     hardy_weinberg_curve,
     veronese_point,

@@ -88,8 +88,9 @@ def full_dim_upper_bound(facet_count: int, dual_degree: int) -> Fraction:
     ball edge; a dual curve of degree delta meets each of the facet_count/2
     edge direction classes in at most delta points.
     """
-    facet_count = int(facet_count)
-    dual_degree = int(dual_degree)
+    for v in (facet_count, dual_degree):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"facet count and dual degree must be ints, got {v!r}")
     if facet_count <= 0 or dual_degree <= 0:
         raise ValueError("facet count and dual degree must be positive")
     if facet_count % 2 != 0:

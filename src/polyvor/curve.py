@@ -1,5 +1,6 @@
 """Parametric curves in the simplex.
 
+A curve is its point map: a callable p |-> AffinePoint for p in [0, 1].
 The Hardy-Weinberg curve is the image of p |-> (p^2, 2p(1-p), (1-p)^2),
 the n = 2 Veronese curve of binomial densities; its ball-edge tangencies
 are counted in ``polyvor.counting``.  The circle is a closed conic in the
@@ -9,9 +10,7 @@ plotting chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from polyvor import _chart
 from polyvor.transport import AffinePoint
@@ -34,29 +33,22 @@ def veronese_point(n: int, p) -> AffinePoint:
     return AffinePoint(coords)
 
 
-@dataclass(frozen=True)
-class ParametricCurve:
-    """A curve [0,1] -> simplex, given by its point map p |-> AffinePoint."""
-
-    eval: Callable
-
-
-def hardy_weinberg_curve() -> ParametricCurve:
+def hardy_weinberg_curve():
     """The n = 2 Veronese curve p |-> (p^2, 2p(1-p), (1-p)^2)."""
-    return ParametricCurve(lambda p: veronese_point(2, p))
+    return lambda p: veronese_point(2, p)
 
 
-def circle_curve(radius: float = 0.2) -> ParametricCurve:
+def circle_curve(radius: float = 0.2):
     """Plotting-chart circle about the centroid, p |-> angle 2*pi*p; a closed conic."""
     cx, cy = 0.5, _chart.HALF_SQRT3 / 3.0
     rho = float(radius)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"circle radius must be finite and > 0, got {rho!r}")
 
-    def ev(p):
+    def point(p):
         th = 2.0 * math.pi * p
         coords = _chart.plot_to_point(cx + rho * math.cos(th), cy + rho * math.sin(th))
         return AffinePoint(coords)
 
-    return ParametricCurve(ev)
+    return point
 

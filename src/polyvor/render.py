@@ -88,7 +88,7 @@ def overlay_svg(path, curve, ball, marks):
     """Simplex triangle + curve + tangency marks + an example ball."""
     svg = _Svg()
     svg.polygon(TRIANGLE)
-    svg.polyline([plot_xy(curve.eval(i / (CURVE_POINTS - 1)).coords)
+    svg.polyline([plot_xy(curve(i / (CURVE_POINTS - 1)).coords)
                   for i in range(CURVE_POINTS)])
     svg.polygon([plot_xy(v.coords) for v in ball.hull_vertices],
                 stroke="#b2541f", width=2.0)

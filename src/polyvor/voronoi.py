@@ -24,9 +24,8 @@ import numpy as np
 from polyvor import _kernels
 from polyvor._chart import plot_to_point, plot_xy
 from polyvor.ball import unit_hull
-from polyvor.curve import ParametricCurve
 from polyvor.metrics import FiniteMetric
-from polyvor.transport import AffinePoint, DimensionMismatch, as_affine_point, exact_point
+from polyvor.transport import AffinePoint, DimensionMismatch, as_affine_point
 
 OUTSIDE = _kernels.OUTSIDE
 TIE = _kernels.TIE
@@ -91,9 +90,10 @@ class CurveSample:
     u2: np.ndarray         # points[:, 1] as contiguous copies
 
     @classmethod
-    def at_params(cls, curve: ParametricCurve, params) -> "CurveSample":
+    def at_params(cls, curve, params) -> "CurveSample":
+        """Sample the point map ``curve`` at each of ``params``."""
         params = np.asarray(params, dtype=np.float64)
-        pts = np.array([[float(c) for c in curve.eval(float(p)).coords] for p in params])
+        pts = np.array([[float(c) for c in curve(float(p)).coords] for p in params])
         if pts.shape[1:] != (3,):
             raise DimensionMismatch(f"curve samples need 3 coordinates, got shape {pts.shape}")
         # the seam's rounding gap grows with the coordinates (1.7e-12 at circle radius 5000)
@@ -118,19 +118,9 @@ class CurveSample:
         dx, dy = np.diff(xs), np.diff(ys)
         return float(np.max(np.hypot(dx, dy))) if len(dx) else 0.0
 
-    def nearest_index(self, point) -> int:
-        """Index of the sample nearest a point, in the plotting chart."""
-        p = as_affine_point(point)
-        x, y = plot_xy(p.coords)
-        xs, ys = plot_xy(self.points.T)
-        # math.hypot, not np.hypot: they differ in the last bit on about
-        # 0.6 % of inputs, which could move a near tie to another sample
-        h = list(map(math.hypot, (xs - x).tolist(), (ys - y).tolist()))
-        return h.index(min(h))
 
-
-def sample_curve(curve: ParametricCurve, count: int) -> CurveSample:
-    """Sample at ``count`` uniformly spaced parameters including endpoints.
+def sample_curve(curve, count: int) -> CurveSample:
+    """Sample the point map at ``count`` uniformly spaced parameters including endpoints.
 
     ``CurveSample.at_params`` peaks near 260 B per sample, and the count is
     refused when that exceeds a quarter of physical memory.  A closed curve
@@ -244,17 +234,24 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     would certify anything.  A candidate is accepted only after an exact
     check: every other sample strictly outside the ball, and x on exactly
     one facet functional (relative interior of an edge).  Returns a falsy
-    NotFound when no candidate survives.
+    NotFound when no candidate survives.  The point must have d.n_states
+    coordinates (else DimensionMismatch) and lie within 1e-9 of a sample
+    in the plotting chart (else ValueError).
     """
     exact, a0, a1 = _facet_data(d)
-    idx = sample.nearest_index(point)
-    px, py = plot_xy(as_affine_point(point).coords)
+    p = as_affine_point(point)
+    if len(p.coords) != d.n_states:
+        raise DimensionMismatch(f"point has {len(p.coords)} coordinates, not {d.n_states}")
+    px, py = plot_xy(p.coords)
     xs, ys = plot_xy(sample.points.T)
-    if math.hypot(xs[idx] - px, ys[idx] - py) > 1e-9:
+    # math.hypot, not np.hypot: they differ in the last bit on about
+    # 0.6 % of inputs, which could move a near tie to another sample
+    dist = list(map(math.hypot, (xs - px).tolist(), (ys - py).tolist()))
+    idx = dist.index(min(dist))
+    if dist[idx] > 1e-9:
         raise ValueError("point is not a sample point")
     # certify the sample itself, not the caller's point near it
-    x = tuple(float(c) for c in sample.points[idx])
-    x0, y0 = plot_xy(x)
+    x0, y0 = xs[idx], ys[idx]
 
     # tangent estimate from neighbors, central difference when possible
     lo, hi = max(idx - 1, 0), min(idx + 1, sample.count - 1)
@@ -281,7 +278,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
         t *= 0.5
     ts.append(max(floor, 1e-6))
 
-    x_ex = exact_point(x)
+    x1, x2 = Fraction(sample.u1[idx]), Fraction(sample.u2[idx])
     trials = 0
     for ex, ey in edges:
         h = math.hypot(ex, ey)
@@ -295,11 +292,9 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
                 if lab[0] != idx:
                     continue
 
-                # exact confirmation
-                y_ex = exact_point(wy)
-                w1 = x_ex.coords[0] - y_ex.coords[0]
-                w2 = x_ex.coords[1] - y_ex.coords[1]
-                vals = _facet_values(exact, w1, w2)
+                # exact confirmation, on rational-chart pairs
+                y1, y2 = Fraction(wy[0]), Fraction(wy[1])
+                vals = _facet_values(exact, x1 - y1, x2 - y2)
                 eps = max(vals)
                 if eps <= 0 or sum(1 for v in vals if v == eps) != 1:
                     continue
@@ -309,12 +304,12 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
                         continue
                     s1 = Fraction(float(sample.u1[k]))
                     s2 = Fraction(float(sample.u2[k]))
-                    dv = max(_facet_values(exact, s1 - y_ex.coords[0],
-                                           s2 - y_ex.coords[1]))
+                    dv = max(_facet_values(exact, s1 - y1, s2 - y2))
                     if dv <= eps:
                         ok = False
                         break
                 if ok:
-                    return DimensionCertificate(x_ex, y_ex, eps)
+                    return DimensionCertificate(AffinePoint((x1, x2, 1 - x1 - x2)),
+                                                AffinePoint((y1, y2, 1 - y1 - y2)), eps)
     return NotFound(trials)
 

@@ -21,7 +21,7 @@ shares as little code with it as possible:
   of a tangent field;
 * ``veronese_tangent``, ``hw_tangent`` and ``circle_tangent`` -- the
   curves' tangent fields, by differentiating their closed forms, and
-  ``veronese_curve`` -- the Veronese curve of any degree n;
+  ``veronese_curve`` -- the point map of the Veronese curve of any degree n;
 * ``full_gauge`` -- the float gauge as the running max over all m facet
   functionals, without the central-symmetry shortcut of ``_kernels.gauge``;
 * ``brute_classify_grid`` -- raster labels from every pixel x sample pair
@@ -48,7 +48,7 @@ import numpy as np
 from polyvor import _kernels
 from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, plot_xy
 from polyvor._kernels import OUTSIDE, _nearest
-from polyvor.curve import ParametricCurve, veronese_point
+from polyvor.curve import veronese_point
 from polyvor.transport import (
     DimensionMismatch,
     Infeasible,
@@ -362,15 +362,16 @@ def face_cone_decomposition_check(points, ball) -> bool:
     return True
 
 
-def half_ball_test(point, normal, curve: ParametricCurve, r: float = 0.05,
+def half_ball_test(point, normal, curve, r: float = 0.05,
                    sample_density: int = 2048) -> bool:
     """Does the curve stay on one side of the line through ``point``?
 
-    Checks the sign of <normal, c - point> in the plotting chart over all
-    curve points sampled at ``sample_density`` parameters that fall within
-    Euclidean distance r of the point (the point itself excluded).  True
-    for the tangent-line normal at a tangency; False where the curve
-    crosses the line.
+    ``curve`` is a point map p |-> AffinePoint, as ``hardy_weinberg_curve()``
+    returns.  Checks the sign of <normal, c - point> in the plotting chart
+    over all curve points sampled at ``sample_density`` parameters that
+    fall within Euclidean distance r of the point (the point itself
+    excluded).  True for the tangent-line normal at a tangency; False where
+    the curve crosses the line.
     """
     p = as_affine_point(point)
     x0, y0 = plot_xy(p.coords)
@@ -384,7 +385,7 @@ def half_ball_test(point, normal, curve: ParametricCurve, r: float = 0.05,
     xs = np.empty(sample_density)
     ys = np.empty(sample_density)
     for i, t in enumerate(ps):
-        cx, cy = plot_xy(curve.eval(float(t)).coords)
+        cx, cy = plot_xy(curve(float(t)).coords)
         xs[i] = cx
         ys[i] = cy
     dx = xs - x0
@@ -397,9 +398,9 @@ def half_ball_test(point, normal, curve: ParametricCurve, r: float = 0.05,
     return bool(np.all(s > 0.0) or np.all(s < 0.0))
 
 
-def veronese_curve(n: int) -> ParametricCurve:
-    """The Veronese curve p |-> veronese_point(n, p) of binomial densities."""
-    return ParametricCurve(lambda p: veronese_point(n, p))
+def veronese_curve(n: int):
+    """The Veronese curve's point map p |-> veronese_point(n, p) of binomial densities."""
+    return lambda p: veronese_point(n, p)
 
 
 def veronese_tangent(n: int, p) -> tuple:
@@ -443,11 +444,12 @@ def circle_tangent(radius: float = 0.2):
     return tangent
 
 
-def planar_tangency_points(curve: ParametricCurve, tangent, direction,
-                           bracket_count: int = 256):
+def planar_tangency_points(curve, tangent, direction, bracket_count: int = 256):
     """Parameters where ``tangent(p)`` is parallel to ``direction``.
 
-    ``tangent`` is the curve's tangent field, p |-> a sum-zero triple.
+    ``curve`` is the point map p |-> AffinePoint, read only at p = 0 and 1
+    to tell a closed curve; ``tangent`` is its tangent field, p |-> a
+    sum-zero triple.
     Numeric counterpart of ``count_full_dim_cells_hw``: sign changes of the
     plotting-chart cross product are bracketed on a uniform grid and
     bisected to 1e-12.  Open curves report interior parameters only; on
@@ -485,7 +487,7 @@ def planar_tangency_points(curve: ParametricCurve, tangent, direction,
     if vals[-1] == 0.0:
         roots.append(1.0)
 
-    p0, p1 = curve.eval(0), curve.eval(1)
+    p0, p1 = curve(0), curve(1)
     x0, y0 = plot_xy(p0.coords)
     x1, y1 = plot_xy(p1.coords)
     closed = math.hypot(x1 - x0, y1 - y0) < 1e-9

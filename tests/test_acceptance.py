@@ -282,8 +282,8 @@ def test_acceptance_09_property_suites(report):
                            (circle_curve(), circle_tangent())):
         for _ in range(100):
             p = float(rng.uniform(0.05, 0.95))
-            a = curve.eval(p - h)
-            b = curve.eval(p + h)
+            a = curve(p - h)
+            b = curve(p + h)
             t = tangent(p)
             for i, tc in enumerate(t):
                 fd = (float(b.coords[i]) - float(a.coords[i])) / (2 * h)

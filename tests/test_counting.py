@@ -88,6 +88,14 @@ def test_upper_bound_rejects_bad_input():
         full_dim_upper_bound(6, 0)
 
 
+@pytest.mark.parametrize("facets, degree", [(6.7, 2), (4.5, 2), (6, 2.9), (F(6), 2),
+                                            (True, 2), (6, True)])
+def test_upper_bound_refuses_non_integers(facets, degree):
+    # truncating to int would read (6.7, 2) and (6, 2.9) as (6, 2), a bound of 6
+    with pytest.raises(ValueError, match="must be ints"):
+        full_dim_upper_bound(facets, degree)
+
+
 def test_census_never_exceeds_bound_random():
     from polyvor import build_ball
     rng = np.random.default_rng(4096)

@@ -67,8 +67,8 @@ def test_tangent_matches_finite_differences():
     for curve, tangent in curves:
         for _ in range(100):
             p = float(rng.uniform(0.05, 0.95))
-            a = curve.eval(p - h)
-            b = curve.eval(p + h)
+            a = curve(p - h)
+            b = curve(p + h)
             t = tangent(p)
             for i, tc in enumerate(t):
                 fd = (float(b.coords[i]) - float(a.coords[i])) / (2 * h)
@@ -127,10 +127,10 @@ def test_circle_points_on_circle():
     from polyvor._chart import plot_xy
     cx, cy = 0.5, float(np.sqrt(3) / 6)
     for p in np.linspace(0, 1, 17):
-        x, y = plot_xy(circle.eval(float(p)).coords)
+        x, y = plot_xy(circle(float(p)).coords)
         assert abs((x - cx) ** 2 + (y - cy) ** 2 - 0.04) < 1e-12
-    a = plot_xy(circle.eval(0.0).coords)
-    b = plot_xy(circle.eval(1.0).coords)
+    a = plot_xy(circle(0.0).coords)
+    b = plot_xy(circle(1.0).coords)
     assert abs(a[0] - b[0]) < 1e-12 and abs(a[1] - b[1]) < 1e-12
 
 

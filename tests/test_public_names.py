@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "NotSymmetric",
     "OddFacetCount",
     "ParameterOutOfRange",
-    "ParametricCurve",
     "PolyBall",
     "TangencyEntry",
     "TransportPlan",

