@@ -22,8 +22,10 @@ shares as little code with it as possible:
 * ``veronese_tangent``, ``hw_tangent`` and ``circle_tangent`` -- the
   curves' tangent fields, by differentiating their closed forms, and
   ``veronese_curve`` -- the point map of the Veronese curve of any degree n;
-* ``full_gauge`` -- the float gauge as the running max over all m facet
-  functionals, without the central-symmetry shortcut of ``_kernels.gauge``;
+* ``facet_table`` -- all m facet functionals of the unit ball, one per
+  edge of ``unit_hull``, exact and as floats;
+* ``full_gauge`` -- the float gauge as the running max over a table's
+  rows as they are, no symmetry assumed;
 * ``brute_classify_grid`` -- raster labels from every pixel x sample pair
   under ``full_gauge``, the row kernel the pruned ``classify_grid`` must
   reproduce.
@@ -48,6 +50,7 @@ import numpy as np
 from polyvor import _kernels
 from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, plot_xy
 from polyvor._kernels import OUTSIDE, _nearest
+from polyvor.ball import unit_hull
 from polyvor.curve import veronese_point
 from polyvor.transport import (
     DimensionMismatch,
@@ -507,12 +510,29 @@ def planar_tangency_points(curve, tangent, direction, bracket_count: int = 256):
 # raster labels without pruning
 
 
+def facet_table(d):
+    """All m facet functionals of the unit ball: (exact, A0, A1).
+
+    Edge f of ``unit_hull(d)``, from p to q counterclockwise, gives the
+    functional a_f with <a_f, p> = <a_f, q> = 1, so the gauge is
+    max_f <a_f, w> over the m rows, with no symmetry assumed.
+    """
+    hull = unit_hull(d)
+    exact = []
+    for idx, p in enumerate(hull):
+        q = hull[(idx + 1) % len(hull)]
+        det = p[0] * q[1] - p[1] * q[0]
+        exact.append(((q[1] - p[1]) / det, (p[0] - q[0]) / det))
+    return (tuple(exact), np.array([float(a) for a, _ in exact]),
+            np.array([float(b) for _, b in exact]))
+
+
 def full_gauge(a0, a1, d1, d2, out):
-    """Write max_f(a0[f]*d1 + a1[f]*d2) over all m facets into ``out``.
+    """Write max_f(a0[f]*d1 + a1[f]*d2) over all rows of the table into ``out``.
 
     Each facet value is formed as in ``_kernels.gauge`` (scalar multiply,
-    then add), but all m of them enter the running max as they are, so no
-    symmetry of the table is assumed.
+    then add), and every row enters the running max as it is: given
+    ``facet_table``, that is all m facets.
     """
     term = np.empty_like(out)
     np.multiply(a0[0], d1, out=out)

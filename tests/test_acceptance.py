@@ -28,7 +28,6 @@ from polyvor import (
     validate_metric,
     wasserstein_distance,
 )
-from polyvor.voronoi import _facet_data
 
 from oracles import (
     ball_generators,
@@ -36,6 +35,7 @@ from oracles import (
     circle_tangent,
     face_cone_decomposition_check,
     face_cone_membership,
+    facet_table,
     gauge_distance,
     hw_tangent,
     veronese_curve,
@@ -310,7 +310,7 @@ NON_TANGENT = {
 def _verify_certificate(cert, sample, d):
     """Independent re-check of a certificate: exact gauges, uniqueness,
     strict exteriority of every other sample, LP cross-check, face cone."""
-    exact, _, _ = _facet_data(d)
+    exact, _, _ = facet_table(d)
     y1, y2 = cert.witness_y.coords[0], cert.witness_y.coords[1]
 
     w1 = cert.x.coords[0] - y1

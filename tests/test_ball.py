@@ -19,7 +19,6 @@ from polyvor import (
 from polyvor.ball import unit_hull
 from polyvor.metrics import random_metric, validate_metric
 from polyvor.transport import AffinePoint
-from polyvor.voronoi import _facet_data
 
 from oracles import (
     ball_generators,
@@ -27,6 +26,7 @@ from oracles import (
     exact_gauge,
     face_cone_decomposition_check,
     face_cone_membership,
+    facet_table,
 )
 
 F = Fraction
@@ -176,7 +176,7 @@ def test_facet_functionals_follow_ball_edge_order(metrics):
     # edge f of every ball lies on facet f of the unit ball's table
     r = F(2, 5)
     for d in _fixture_and_random_metrics(metrics, 30):
-        exact, _, _ = _facet_data(d)
+        exact, _, _ = facet_table(d)
         ball = build_ball(CENTROID, r, d)
         assert len(exact) == len(ball.edges)
         for f, ((a, b), _) in enumerate(ball.edges):

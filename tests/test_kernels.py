@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_classify_grid, full_gauge
+from oracles import brute_classify_grid, facet_table, full_gauge
 from polyvor._kernels import OUTSIDE, TIE, classify_grid, classify_points, gauge
 from polyvor.voronoi import _facet_data
 from polyvor import circle_curve, hardy_weinberg_curve, random_metric, sample_curve
@@ -22,14 +22,22 @@ def setup_arrays(metrics, name="two_cell", n=201):
 
 
 def _facet_tables(metrics):
-    """Facet tables of random_metric(3, 0..399) and the fixture metrics."""
+    """(library table, all-m oracle table) of random_metric(3, 0..399) and the fixtures."""
     ds = [random_metric(3, seed) for seed in range(400)] + list(metrics.values())
-    return [_facet_data(d) for d in ds]
+    return [(_facet_data(d), facet_table(d)) for d in ds]
+
+
+def _matches_brute_force(d, res, s1, s2, tie_tol):
+    """classify_grid on the library table against every pixel x sample pair over all m facets."""
+    _, a0, a1 = _facet_data(d)
+    _, b0, b1 = facet_table(d)
+    return np.array_equal(classify_grid(res, a0, a1, s1, s2, tie_tol),
+                          brute_classify_grid(res, b0, b1, s1, s2, tie_tol))
 
 
 def test_facet_functionals_are_antipodal(metrics):
     # the half-facet gauge and bounds rest on a[f + m/2] == -a[f]
-    for exact, a0, a1 in _facet_tables(metrics):
+    for (exact, a0, a1), _ in _facet_tables(metrics):
         m = len(exact)
         assert m in (4, 6)
         for f in range(m // 2):
@@ -47,9 +55,9 @@ def test_gauge_matches_the_full_facet_loop_bit_for_bit(metrics):
     diffs = [(np.zeros((4, 5)), np.zeros((4, 5))),            # zero differences
              (t1 - t1[:, None], t2 - t2[:, None]),            # equal points on the diagonal
              (s1 - t1[:, None], s2 - t2[:, None])]
-    for _, a0, a1 in _facet_tables(metrics):
+    for (_, a0, a1), (_, b0, b1) in _facet_tables(metrics):
         for d1, d2 in diffs:
-            want = full_gauge(a0, a1, d1, d2, np.empty(d1.shape))
+            want = full_gauge(b0, b1, d1, d2, np.empty(d1.shape))
             got = gauge(a0, a1, d1, d2, np.empty(d1.shape))
             assert got.tobytes() == want.tobytes()
 
@@ -95,14 +103,13 @@ def test_worked_rasters_match_pinned_hashes(hw_raster, name):
 # equality); a tolerance of 0.05 makes wide TIE bands
 @pytest.mark.parametrize("seed", range(8))
 def test_tiled_kernel_matches_brute_force(seed):
-    _, a0, a1 = _facet_data(random_metric(3, seed))
+    d = random_metric(3, seed)
     # radius 0.7 puts circle samples outside the simplex
     for curve in (hardy_weinberg_curve(), circle_curve(), circle_curve(0.7)):
         s = sample_curve(curve, 151)
         for res in (64, 100):                 # 100 is not a multiple of the tile
             for tie_tol in (0.0, 1e-9, 1e-3, 0.05):
-                args = (res, a0, a1, s.u1, s.u2, tie_tol)
-                assert np.array_equal(classify_grid(*args), brute_classify_grid(*args))
+                assert _matches_brute_force(d, res, s.u1, s.u2, tie_tol)
 
 
 @pytest.mark.parametrize("s1, s2", [
@@ -113,10 +120,8 @@ def test_tiled_kernel_matches_brute_force(seed):
 def test_tiled_kernel_matches_brute_force_on_few_samples(metrics, s1, s2):
     s1, s2 = np.array(s1), np.array(s2)
     for name in ("unit", "line"):
-        _, a0, a1 = _facet_data(metrics[name])
         for tie_tol in (0.0, 1e-9, 1e-3, 0.05):
-            args = (37, a0, a1, s1, s2, tie_tol)
-            assert np.array_equal(classify_grid(*args), brute_classify_grid(*args))
+            assert _matches_brute_force(metrics[name], 37, s1, s2, tie_tol)
 
 
 def _simplex_point(uv):
@@ -145,9 +150,7 @@ def sample_points(draw):
 @given(seed=st.integers(0, 39), points=sample_points(), res=st.integers(2, 40),
        tie_tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.05]))
 def test_tiled_kernel_matches_brute_force_property(seed, points, res, tie_tol):
-    _, a0, a1 = _facet_data(random_metric(3, seed))
-    args = (res, a0, a1, *points, tie_tol)
-    assert np.array_equal(classify_grid(*args), brute_classify_grid(*args))
+    assert _matches_brute_force(random_metric(3, seed), res, *points, tie_tol)
 
 
 def test_numpy_path_alone_is_deterministic(metrics):

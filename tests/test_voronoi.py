@@ -31,6 +31,7 @@ from oracles import (
     classify,
     exact_gauge,
     face_cone_decomposition_check,
+    facet_table,
     gauge_distance,
     half_ball_test,
     veronese_curve,
@@ -154,7 +155,7 @@ def test_exact_ties_go_to_the_lowest_sample_index():
     # order would give them to 38)
     d = random_metric(3, 2)
     s = sample_curve(circle_curve(0.2), 151)
-    _, a0, a1 = voronoi._facet_data(d)
+    _, a0, a1 = facet_table(d)
     labels = raster_voronoi(s, d, 96, tie_tolerance=0.0).labels
     want = brute_classify_grid(96, a0, a1, s.points[:, 0], s.points[:, 1], 0.0)
     assert np.array_equal(labels, want)
