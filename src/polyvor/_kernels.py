@@ -10,18 +10,10 @@ loose points and the certificate screen share one elementwise expression
 order (scalar multiply, add, running max; no dot products) and agree bit
 for bit.
 
-Central symmetry.  A norm's unit ball is centrally symmetric, so its m
-facet functionals come in antipodal pairs: the exact table of
-``voronoi._facet_data`` has a[f + m/2] == -a[f], and so has its float
-copy, since rounding commutes with negation.  Negating a product or a sum
-is exact too, so the functional f + m/2 takes the value -(a_f.w) bit for
-bit, and
-
-    max_f a_f.w  ==  max_{f < m/2} |a_f.w|.
-
-``gauge`` evaluates the right-hand side: half the products, the same
-maximum.  (Only the sign of a zero maximum may differ, and every consumer
-compares distances, where -0.0 == 0.0.)
+Facet table.  A norm's unit ball is centrally symmetric, so its m facet
+functionals come in antipodal pairs, and the table of
+``voronoi._facet_data`` holds one functional per pair:
+gauge(w) = max_f |a_f.w| over its m/2 rows.
 
 Pruning.  The distance from a pixel center t to sample k is
 ``dist_k(t) = max_f (P[f,k] - a_f.t)`` with ``P[f,k] = a_f.s_k``, and
@@ -30,18 +22,17 @@ over the inside pixel centers of a region R of the grid,
 
     LB_k = max_f (P[f,k] - hi_f)  <=  dist_k(t)  <=  max_f (P[f,k] - lo_f) = UB_k
 
-at every inside pixel of R.  By the symmetry the facet f + m/2 has
-P = -P[f,k], lo = -hi_f and hi = -lo_f, so with x = P[f,k] - hi_f and
-y = lo_f - P[f,k] both bounds run over the first m/2 facets only:
-LB_k = max (max(x, y)) and UB_k = -min (min(x, y)), the same floats as
-over all m.  A label depends only on the nearest sample (the first one on
-equal distances) and on the second-smallest distance m2(t): TIE when
-m2(t) - best < tie_tol.  The two samples of least UB are both within UB2,
-the second-smallest UB, so m2(t) <= UB2, and every sample with
-dist_k(t) <= m2(t) has LB_k <= UB2.  So R may keep, in index order, only
-the samples with ``LB_k <= UB2 + tie_tol + slack``: the nearest sample,
-every sample within m2(t) and hence m2(t) itself are among them, at every
-inside pixel of R.
+at every inside pixel of R, f running over all m facets.  The facet -a_f
+of a table row a_f has P = -P[f,k], lo = -hi_f and hi = -lo_f, so with
+x = P[f,k] - hi_f and y = lo_f - P[f,k] over the m/2 rows,
+LB_k = max (max(x, y)) and UB_k = -min (min(x, y)).  A label depends only
+on the nearest sample (the first one on equal distances) and on the
+second-smallest distance m2(t): TIE when m2(t) - best < tie_tol.  The two
+samples of least UB are both within UB2, the second-smallest UB, so
+m2(t) <= UB2, and every sample with dist_k(t) <= m2(t) has LB_k <= UB2.
+So R may keep, in index order, only the samples with
+``LB_k <= UB2 + tie_tol + slack``: the nearest sample, every sample within
+m2(t) and hence m2(t) itself are among them, at every inside pixel of R.
 
 Segment, then tile.  ``classify_grid`` walks the grid in bands of TILE
 pixel rows, cut into TILE x TILE tiles; the tiles of a band with an inside
@@ -54,7 +45,7 @@ with 1001 samples).  Each tile runs the unchanged ``gauge`` and
 ``_nearest`` on its kept columns only.  Both are elementwise, so the kept
 columns carry the bits of the full row: same nearest sample, same
 first-index tie-breaking, same TIE marks.  The labels are those of every
-pixel x sample pair under the full m-facet gauge
+pixel x sample pair under the gauge over all m facets
 (``tests/oracles.py: brute_classify_grid``).
 
 Slack.  The bound and the gauge are different float expressions, so the
@@ -95,12 +86,11 @@ def backend_name() -> str:
 
 
 def gauge(a0, a1, d1, d2, out):
-    """Write max_f(a0[f]*d1 + a1[f]*d2) into ``out`` and return it.
+    """Write max_f |a0[f]*d1 + a1[f]*d2| into ``out`` and return it.
 
     (d1, d2) are rational-chart difference vectors, broadcast to the shape
     of ``out``; (a0[f], a1[f]) are the float facet functionals of the unit
-    ball, whose second half negates the first (see the module docstring),
-    so only max_{f < m/2} |a0[f]*d1 + a1[f]*d2| is evaluated.  Products go
+    ball, one per antipodal pair (see the module docstring).  Products go
     into preallocated buffers: fresh full-size temporaries per facet cost
     page faults, not arithmetic.
     """
@@ -108,7 +98,7 @@ def gauge(a0, a1, d1, d2, out):
     np.multiply(a0[0], d1, out=out)
     out += a1[0] * d2
     np.abs(out, out=out)
-    for f in range(1, len(a0) // 2):
+    for f in range(1, len(a0)):
         np.multiply(a0[f], d1, out=term)
         term += a1[f] * d2
         np.abs(term, out=term)
@@ -136,9 +126,9 @@ def _nearest(dist, tie_tol):
 def _kept(prows, lo, hi, margin):
     """Mask of the samples each region keeps (see the module docstring).
 
-    ``prows`` yields P[f, cols] for the first m/2 facets, one facet at a
-    time; lo[f] and hi[f] are (regions, 1) extremes of a_f.t.  A region
-    keeps the columns with LB <= UB2 + margin.
+    ``prows`` yields P[f, cols] for the table's rows, one at a time; lo[f]
+    and hi[f] are (regions, 1) extremes of a_f.t.  A region keeps the
+    columns with LB <= UB2 + margin.
     """
     for f, p in enumerate(prows):
         if f == 0:
@@ -173,9 +163,7 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
     # or above y = sqrt(3)/2, so the inside test drops them
     px = (np.arange(ntiles * TILE) + 0.5) * (1.0 / res)
     dy = HALF_SQRT3 / res
-    h = len(a0) // 2
-    a0h, a1h = a0[:h], a1[:h]
-    P = a0h[:, None] * s1 + a1h[:, None] * s2        # (m/2, K): a_f . s_k
+    P = a0[:, None] * s1 + a1[:, None] * s2          # (m/2, K): a_f . s_k
     scale = np.max(np.abs(a0) + np.abs(a1)) * (
         max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
     margin = tie_tol + SLACK_ULPS * np.finfo(np.float64).eps * scale
@@ -187,9 +175,9 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
         if len(tiles) == 0:
             continue
         # min and max of a_f . t over the inside pixel centers of each tile
-        q = a0h[:, None, None] * t1 + a1h[:, None, None] * t2
-        lo = np.where(inside, q, np.inf).reshape(h, TILE, ntiles, TILE)
-        hi = np.where(inside, q, -np.inf).reshape(h, TILE, ntiles, TILE)
+        q = a0[:, None, None] * t1 + a1[:, None, None] * t2
+        lo = np.where(inside, q, np.inf).reshape(-1, TILE, ntiles, TILE)
+        hi = np.where(inside, q, -np.inf).reshape(-1, TILE, ntiles, TILE)
         lo = lo.min(axis=(1, 3))[:, tiles]
         hi = hi.max(axis=(1, 3))[:, tiles]
         starts = np.arange(0, len(tiles), SEG)
@@ -201,7 +189,7 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
         for j, s0 in enumerate(starts):
             cols = np.flatnonzero(seg_keep[j])
             seg = slice(s0, s0 + SEG)
-            keep = _kept((P[f, cols] for f in range(h)), lo[:, seg, None],
+            keep = _kept((p[cols] for p in P), lo[:, seg, None],
                          hi[:, seg, None], margin)
             for tile, kept in zip(tiles[seg], keep):
                 cand = cols[kept]

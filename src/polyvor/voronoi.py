@@ -5,10 +5,11 @@ predicts how many full-dimensional cells the continuum diagram has, the
 raster labels every pixel by its nearest curve sample and the cells whose
 pixel area clears a threshold must match the prediction.
 
-Distances are evaluated as the max of the facet functionals of the exact
-unit ball (same metric as the transport LP; the test suite cross-checks
-the two).  Functionals are derived once per metric as exact rationals and
-floated for the kernels.
+Distances are evaluated as the max of |a_f.w| over the facet functionals
+of the exact unit ball, one per antipodal pair (same metric as the
+transport LP; the test suite cross-checks the two).  The table is derived
+once per metric as exact rationals, read by the certificate, and floated
+for the kernels.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from polyvor.ball import unit_hull
 from polyvor.metrics import FiniteMetric
 from polyvor.transport import AffinePoint, DimensionMismatch, as_affine_point
 
-OUTSIDE = _kernels.OUTSIDE
-TIE = _kernels.TIE
-
 DEFAULT_TIE_TOL = 1e-9
 FULL_DIM_THRESHOLD = 0.001
 WITNESS_OFFSETS = 24   # most halvings of the certificate's witness offset
@@ -37,18 +35,19 @@ WITNESS_OFFSETS = 24   # most halvings of the certificate's witness offset
 
 @lru_cache(maxsize=None)
 def _facet_data(d: FiniteMetric):
-    """Exact facet functionals of the unit ball, plus float copies.
+    """Exact facet functionals of the unit ball, one per antipodal pair, plus floats.
 
-    Each CCW edge (p, q) of the unit hull gives a functional a
-    with <a, p> = <a, q> = 1; then gauge(w) = max_f <a_f, w> in the
+    Each CCW edge (p, q) of the unit hull gives a functional a with
+    <a, p> = <a, q> = 1.  The ball is centrally symmetric and ``unit_hull``
+    lists -p m/2 places after p, so edge f + m/2 carries -a_f exactly; the
+    table keeps edges 0..m/2-1 only, and gauge(w) = max_f |<a_f, w>| in the
     rational chart.  Returns (exact functionals, A0, A1).
     """
     if d.n != 2:
         raise ValueError("raster classification is planar (n = 2)")
     hull = unit_hull(d)
     exact = []
-    for idx, p in enumerate(hull):
-        q = hull[(idx + 1) % len(hull)]
+    for p, q in zip(hull[:len(hull) // 2], hull[1:]):
         det = p[0] * q[1] - p[1] * q[0]
         exact.append(((q[1] - p[1]) / det, (p[0] - q[0]) / det))
     a0 = np.array([float(a) for a, _ in exact])
@@ -59,8 +58,8 @@ def _facet_data(d: FiniteMetric):
 
 
 def _facet_values(exact, w1, w2):
-    """Exact facet functional values <a_f, w> at a rational-chart vector."""
-    return [a * w1 + b * w2 for a, b in exact]
+    """Exact facet values |<a_f, w>| at a rational-chart vector."""
+    return [abs(a * w1 + b * w2) for a, b in exact]
 
 
 def _check_nonnegative(name, value):
@@ -296,6 +295,8 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
                 y1, y2 = Fraction(wy[0]), Fraction(wy[1])
                 vals = _facet_values(exact, x1 - y1, x2 - y2)
                 eps = max(vals)
+                # one value per antipodal pair: with eps > 0, a_f.w and -a_f.w
+                # cannot both be eps, so one pair at eps is one facet of m
                 if eps <= 0 or sum(1 for v in vals if v == eps) != 1:
                     continue
                 ok = True

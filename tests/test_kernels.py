@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_classify_grid, facet_table, full_gauge
 from polyvor._kernels import OUTSIDE, TIE, classify_grid, classify_points, gauge
-from polyvor.voronoi import _facet_data
+from polyvor.ball import unit_hull
+from polyvor.voronoi import _facet_data, _facet_values
 from polyvor import circle_curve, hardy_weinberg_curve, random_metric, sample_curve
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -36,14 +39,41 @@ def _matches_brute_force(d, res, s1, s2, tie_tol):
 
 
 def test_facet_functionals_are_antipodal(metrics):
-    # the half-facet gauge and bounds rest on a[f + m/2] == -a[f]
-    for (exact, a0, a1), _ in _facet_tables(metrics):
-        m = len(exact)
+    # unit_hull lists g_ji m/2 places after g_ij, so edge f + m/2 carries
+    # -a_f exactly: the library keeps edges 0..m/2-1 and the rest negate them
+    assert [len(_facet_data(metrics[name])[0]) for name in ("unit", "line")] == [3, 2]
+    for (exact, a0, a1), (full, b0, b1) in _facet_tables(metrics):
+        m = len(full)
         assert m in (4, 6)
-        for f in range(m // 2):
-            assert exact[f + m // 2] == (-exact[f][0], -exact[f][1])
-        assert np.array_equal(a0[m // 2:], -a0[:m // 2])
-        assert np.array_equal(a1[m // 2:], -a1[:m // 2])
+        assert exact == full[:m // 2]
+        assert np.array_equal(a0, b0[:m // 2]) and np.array_equal(a1, b1[:m // 2])
+        assert full[m // 2:] == tuple((-a, -b) for a, b in exact)
+        assert np.array_equal(b0[m // 2:], -a0) and np.array_equal(b1[m // 2:], -a1)
+
+
+def test_pair_maximum_is_the_all_m_maximum(metrics):
+    # max_f |a_f.w| over the m/2 library rows equals max_f a_f.w over all m,
+    # and one pair attains it exactly when one of the m facets does, as the
+    # certificate's uniqueness test needs; hull vertices (two facets) and
+    # edge midpoints (one) give both answers
+    rng = random.Random(19)
+    seen = set()
+    for d in [random_metric(3, seed) for seed in range(300)] + list(metrics.values()):
+        pairs, full = _facet_data(d)[0], facet_table(d)[0]
+        hull = unit_hull(d)
+        ws = [(Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+               Fraction(rng.randint(-99, 99), rng.randint(1, 99))) for _ in range(20)]
+        ws += list(hull) + [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+                            for p, q in zip(hull, hull[1:] + hull[:1])] + [(0, 0)]
+        for w1, w2 in ws:
+            vals = _facet_values(pairs, w1, w2)
+            facets = [a * w1 + b * w2 for a, b in full]
+            eps = max(facets)
+            assert max(vals) == eps
+            one = facets.count(eps) == 1
+            assert (vals.count(eps) == 1) == one
+            seen.add(one)
+    assert seen == {True, False}
 
 
 def test_gauge_matches_the_full_facet_loop_bit_for_bit(metrics):
