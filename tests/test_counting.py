@@ -96,6 +96,16 @@ def test_upper_bound_refuses_non_integers(facets, degree):
         full_dim_upper_bound(facets, degree)
 
 
+@pytest.mark.parametrize("facets, degree", [(np.int64(6), 2), (6, np.int32(2)),
+                                            (np.uint8(6), np.int16(2))])
+def test_upper_bound_takes_numpy_integers(facets, degree):
+    # a facet count read off a NumPy array is an integer; its bool is not
+    bound = full_dim_upper_bound(facets, degree)
+    assert bound == 6 and type(bound.numerator) is int
+    with pytest.raises(ValueError, match="must be ints"):
+        full_dim_upper_bound(np.True_, degree)
+
+
 def test_census_never_exceeds_bound_random():
     from polyvor import build_ball
     rng = np.random.default_rng(4096)
