@@ -31,7 +31,8 @@ shares as little code with it as possible:
   reproduce.
 
 Two helpers at the end are not independent: ``exact_gauge`` and
-``classify`` read the library's own facet table (``_facet_data``), so they
+``classify`` read the library's own facet table (``_facet_data``, one
+functional per antipodal pair, where ``facet_table`` has all m), so they
 only give the tests an exact gauge and a single-point label.  ``chart2``
 reads the rational chart (t1, t2) off a point or vector.
 

@@ -70,9 +70,10 @@ SETTABLE_VALUES = [
 
 
 def _settable(node, qual, found):
+    """Append the settable values under ``node`` to ``found``, named from ``qual``."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            name = f"{qual}.{child.name}"
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = f"{qual}.{getattr(child, 'name', '<lambda>')}"
             args = child.args
             positional = args.posonlyargs + args.args
             with_default = positional[len(positional) - len(args.defaults):]
