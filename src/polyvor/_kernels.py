@@ -4,11 +4,9 @@ Label every pixel of a grid over the simplex with the index of the nearest
 curve sample under a polyhedral norm, the norm being evaluated as the max
 of its facet functionals on the rational-chart difference vector.
 
-Every float distance in the package goes through ``gauge`` and every
-nearest / second-nearest / TIE decision through ``_nearest``, so the grid,
-loose points and the certificate screen share one elementwise expression
-order (scalar multiply, add, running max; no dot products) and agree bit
-for bit.
+Every float distance in the package goes through ``gauge`` (scalar
+multiply, add, running max; no dot products), every nearest / TIE decision
+of the grid through ``_nearest`` and every rounding band through ``slack``.
 
 Facet table.  A norm's unit ball is centrally symmetric, so its m facet
 functionals come in antipodal pairs, and the table of
@@ -56,7 +54,7 @@ within 2u A of exact, the subtraction P - hi or P - lo adds u A (S + 1),
 and the gauge (difference, two products, a sum) is within 3u A (S + 1).
 Each side of the bound is thus off by at most 6u A (S + 1) to first
 order, and both sides plus the rounding of the cut itself by less than
-14u A (S + 1).  The slack is SLACK_ULPS * eps * A * (S + 1) = 32u A (S + 1).
+14u A (S + 1).  The slack is ``slack(a0, a1, S + 1)`` = 32u A (S + 1).
 A segment's lo and hi are the min and max of the same float a_f.t as its
 tiles', so one slack serves both levels.  S is read from the samples
 because they may leave the simplex (a circle of large radius does).
@@ -77,7 +75,7 @@ OUTSIDE = -1
 TIE = -2
 TILE = 8          # tile edge in pixels
 SEG = 4           # tiles per segment of the two-level bound
-SLACK_ULPS = 16   # rounding slack of the tile bound, in eps * A * (S + 1)
+SLACK_ULPS = 16   # rounding slack of a gauge comparison, in eps * A * reach
 
 
 def backend_name() -> str:
@@ -104,6 +102,11 @@ def gauge(a0, a1, d1, d2, out):
         np.abs(term, out=term)
         np.maximum(out, term, out=out)
     return out
+
+
+def slack(a0, a1, reach):
+    """SLACK_ULPS * eps * A * reach, A = max_f (|a0[f]| + |a1[f]|): see "Slack" above."""
+    return SLACK_ULPS * np.finfo(np.float64).eps * (np.max(np.abs(a0) + np.abs(a1)) * reach)
 
 
 def _nearest(dist, tie_tol):
@@ -164,9 +167,7 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
     px = (np.arange(ntiles * TILE) + 0.5) * (1.0 / res)
     dy = HALF_SQRT3 / res
     P = a0[:, None] * s1 + a1[:, None] * s2          # (m/2, K): a_f . s_k
-    scale = np.max(np.abs(a0) + np.abs(a1)) * (
-        max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
-    margin = tie_tol + SLACK_ULPS * np.finfo(np.float64).eps * scale
+    margin = tie_tol + slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
     for y0 in range(0, res, TILE):
         y = (np.arange(y0, y0 + TILE) + 0.5)[:, None] * dy
         t1, t2, t3 = plot_to_point(px, y)
@@ -205,15 +206,3 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
         np.copyto(rows, band[:len(rows), :res], where=inside[:len(rows), :res])
     return labels
 
-
-def classify_points(t1, t2, a0, a1, s1, s2, tie_tol):
-    """Classify rational-chart points (t1, t2) by nearest sample (s1, s2).
-
-    Loose points (the certificate screen among them) go through here.
-    Returns (labels, best, second) so callers can inspect margins.
-    """
-    t1 = np.asarray(t1, dtype=np.float64).reshape(-1, 1)
-    t2 = np.asarray(t2, dtype=np.float64).reshape(-1, 1)
-    dist = np.empty((len(t1), len(s1)))
-    gauge(a0, a1, s1 - t1, s2 - t2, dist)
-    return _nearest(dist, tie_tol)

@@ -38,7 +38,7 @@ def _lift(v) -> tuple:
 _CYCLE = ((0, 2), (1, 2), (1, 0), (2, 0), (2, 1), (0, 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)       # bounded like voronoi._facet_data, which reads it
 def unit_hull(d: FiniteMetric) -> tuple:
     """Generators at the vertices of the unit ball of a planar (n = 2) metric.
 

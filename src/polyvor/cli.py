@@ -4,7 +4,7 @@ Metrics are read from JSON files of the form {"d": [[...]]} whose entries
 are integers or rational strings "p/q"; points and radii are read exactly,
 decimals too.  Every subcommand prints a JSON object to stdout; rationals
 are emitted as strings so nothing is rounded.
-Errors become {"error": {...}} with a nonzero exit code.
+Errors become {"error": {...}}, exit code 2 for a refused command line, else 1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from polyvor import _kernels, metrics, render
+from polyvor import _kernels, metrics, render, voronoi
 from polyvor._chart import plot_xy
 from polyvor.ball import build_ball
 from polyvor.counting import count_full_dim_cells_hw, full_dim_upper_bound
@@ -113,6 +113,7 @@ def cmd_raster(args):
     threshold_pixels = args.threshold * args.resolution ** 2
     if not math.isfinite(threshold_pixels):
         raise ValueError(f"threshold {args.threshold!r} times resolution^2 is not finite")
+    voronoi._check_nonnegative("threshold", args.threshold)    # before the raster
     d = load_metric(args.metric)
     curve = _make_curve(args)
     sample = sample_curve(curve, args.samples)
@@ -193,8 +194,13 @@ def cmd_check(args):
     return {"items": items, "all_pass": all(i["pass"] for i in items)}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # a refused command line goes to main's error JSON
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polyvor",
         description="Wasserstein balls, tangency counts and raster Voronoi "
                     "diagrams in the probability simplex.")
@@ -250,15 +256,15 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         out = args.fn(args)
         text = json.dumps(out, indent=2, allow_nan=False)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (argparse.ArgumentError, ValueError, ArithmeticError, OSError) as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
                   sys.stdout)
         print()
-        return 1
+        return 2 if isinstance(exc, argparse.ArgumentError) else 1
     print(text)
     if args.command == "check" and not out["all_pass"]:
         return 1

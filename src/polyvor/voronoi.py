@@ -8,8 +8,8 @@ pixel area clears a threshold must match the prediction.
 Distances are evaluated as the max of |a_f.w| over the facet functionals
 of the exact unit ball, one per antipodal pair (same metric as the
 transport LP; the test suite cross-checks the two).  The table is derived
-once per metric as exact rationals, read by the certificate, and floated
-for the kernels.
+once per metric as exact rationals, read by the certificate's exact check,
+and floated for the raster kernel and the certificate's float filter.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ FULL_DIM_THRESHOLD = 0.001
 WITNESS_OFFSETS = 24   # most halvings of the certificate's witness offset
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)       # well above the metrics a run holds at once
 def _facet_data(d: FiniteMetric):
     """Exact facet functionals of the unit ball, one per antipodal pair, plus floats.
 
@@ -236,6 +236,17 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     NotFound when no candidate survives.  The point must have d.n_states
     coordinates (else DimensionMismatch) and lie within 1e-9 of a sample
     in the plotting chart (else ValueError).
+
+    Floats only skip candidates the exact check would reject.  Coordinates
+    are floats, which Fraction reads exactly.  In the ``_kernels`` "Slack"
+    model (u = eps/2) each term a0[f] w1, a1[f] w2 of w = s - y meets four
+    roundings (table entry, difference, product, sum) and abs and max none,
+    so a float gauge is within gamma_4 A W of exact: gamma_4 = 4u/(1 - 4u),
+    A = max_f (|a0[f]| + |a1[f]|), W = S + max(|y1|, |y2|) >= |s - y| with S
+    the largest sample coordinate.  A candidate is skipped when another
+    sample's float gauge is below x's by over ``_kernels.slack(a0, a1, W)`` =
+    32u A W > 2 gamma_4 A W + u A W (the cut's rounding): its exact gauge is
+    below eps.  The rest are checked exactly, samples nearest first.
     """
     exact, a0, a1 = _facet_data(d)
     p = as_affine_point(point)
@@ -260,14 +271,9 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
         return NotFound(0)
     tx, ty = tx / th, ty / th
 
-    def alignment(e):
-        ex, ey = e
-        h = math.hypot(ex, ey)
-        return abs((ex * tx + ey * ty) / h)
-
     hull = unit_hull(d)
     edges = [plot_xy((b[0] - a[0], b[1] - a[1])) for a, b in zip(hull, hull[1:] + hull[:1])]
-    edges.sort(key=alignment, reverse=True)
+    edges.sort(key=lambda e: abs((e[0] * tx + e[1] * ty) / math.hypot(*e)), reverse=True)
 
     floor = 4.0 * sample.spacing()
     ts = []
@@ -278,6 +284,8 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     ts.append(max(floor, 1e-6))
 
     x1, x2 = Fraction(sample.u1[idx]), Fraction(sample.u2[idx])
+    top = max(np.max(np.abs(sample.u1)), np.max(np.abs(sample.u2)))     # S
+    dist = np.empty(sample.count)
     trials = 0
     for ex, ey in edges:
         h = math.hypot(ex, ey)
@@ -286,9 +294,10 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
             for sgn in (1.0, -1.0):
                 trials += 1
                 wy = plot_to_point(x0 + sgn * t * nu[0], y0 + sgn * t * nu[1])
-                lab, _, _ = _kernels.classify_points(wy[0], wy[1], a0, a1, sample.u1,
-                                                     sample.u2, DEFAULT_TIE_TOL)
-                if lab[0] != idx:
+                _kernels.gauge(a0, a1, sample.u1 - wy[0], sample.u2 - wy[1], dist)
+                near, dist[idx] = dist[idx], np.inf
+                band = _kernels.slack(a0, a1, top + max(abs(wy[0]), abs(wy[1])))
+                if dist.min() < near - band:
                     continue
 
                 # exact confirmation, on rational-chart pairs
@@ -299,17 +308,12 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
                 # cannot both be eps, so one pair at eps is one facet of m
                 if eps <= 0 or sum(1 for v in vals if v == eps) != 1:
                     continue
-                ok = True
-                for k in range(sample.count):
-                    if k == idx:
-                        continue
-                    s1 = Fraction(float(sample.u1[k]))
-                    s2 = Fraction(float(sample.u2[k]))
-                    dv = max(_facet_values(exact, s1 - y1, s2 - y2))
-                    if dv <= eps:
-                        ok = False
+                order = np.argsort(dist, kind="stable")
+                order = order[order != idx]
+                for s1, s2 in zip(sample.u1[order].tolist(), sample.u2[order].tolist()):
+                    if max(_facet_values(exact, Fraction(s1) - y1, Fraction(s2) - y2)) <= eps:
                         break
-                if ok:
+                else:
                     return DimensionCertificate(AffinePoint((x1, x2, 1 - x1 - x2)),
                                                 AffinePoint((y1, y2, 1 - y1 - y2)), eps)
     return NotFound(trials)

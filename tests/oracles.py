@@ -30,11 +30,13 @@ shares as little code with it as possible:
   under ``full_gauge``, the row kernel the pruned ``classify_grid`` must
   reproduce.
 
-Two helpers at the end are not independent: ``exact_gauge`` and
+Three helpers at the end are not independent: ``exact_gauge`` and
 ``classify`` read the library's own facet table (``_facet_data``, one
-functional per antipodal pair, where ``facet_table`` has all m), so they
-only give the tests an exact gauge and a single-point label.  ``chart2``
-reads the rational chart (t1, t2) off a point or vector.
+functional per antipodal pair, where ``facet_table`` has all m), and
+``classify_points`` runs the library's ``gauge`` and ``_nearest`` on loose
+points, so they only give the tests an exact gauge and single-point
+labels.  ``chart2`` reads the rational chart (t1, t2) off a point or
+vector.
 
 Only tests import this module; pytest puts ``tests/`` on ``sys.path``.
 """
@@ -48,9 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from polyvor import _kernels
 from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, plot_xy
-from polyvor._kernels import OUTSIDE, _nearest
+from polyvor._kernels import OUTSIDE, _nearest, gauge
 from polyvor.ball import unit_hull
 from polyvor.curve import veronese_point
 from polyvor.transport import (
@@ -591,6 +592,18 @@ def classify(point, sample, d) -> int:
     _, a0, a1 = _facet_data(d)
     p = as_affine_point(point)
     t1, t2 = float(p.coords[0]), float(p.coords[1])
-    lab, _, _ = _kernels.classify_points(t1, t2, a0, a1,
-                                         sample.u1, sample.u2, DEFAULT_TIE_TOL)
+    lab, _, _ = classify_points(t1, t2, a0, a1, sample.u1, sample.u2, DEFAULT_TIE_TOL)
     return int(lab[0])
+
+
+def classify_points(t1, t2, a0, a1, s1, s2, tie_tol):
+    """Classify rational-chart points (t1, t2) by nearest sample (s1, s2).
+
+    The grid kernel's row rule on loose points: ``gauge`` to every sample,
+    then ``_nearest``.  Returns (labels, best, second).
+    """
+    t1 = np.asarray(t1, dtype=np.float64).reshape(-1, 1)
+    t2 = np.asarray(t2, dtype=np.float64).reshape(-1, 1)
+    dist = np.empty((len(t1), len(s1)))
+    gauge(a0, a1, s1 - t1, s2 - t2, dist)
+    return _nearest(dist, tie_tol)

@@ -285,6 +285,39 @@ def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
         assert text == json.dumps({"error": {"type": err_type, "message": message}}) + "\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["raster", "--metric", "d.json", "--samples", "abc"],
+     "argument --samples: invalid int value: 'abc'"),
+    (["raster"], "the following arguments are required: --metric"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+])
+def test_usage_errors_are_json_errors(capsys, argv, message):
+    code, out = run(argv, capsys)
+    assert code == 2
+    assert out["error"]["type"] == "ArgumentError"
+    assert out["error"]["message"].startswith(message)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["raster", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polyvor raster")
+
+
+def test_negative_threshold_is_refused_before_the_raster(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("sampled before the threshold was checked")
+
+    monkeypatch.setattr(cli, "sample_curve", fail)
+    monkeypatch.setattr(cli, "raster_voronoi", fail)
+    code, out = run(["raster", "--metric", metric_file(tmp_path, UNIT),
+                     "--threshold", "-1"], capsys)
+    assert code == 1
+    assert out == {"error": {"type": "ValueError",
+                             "message": "threshold must be finite and >= 0, got -1.0"}}
+
+
 def test_whole_number_strings_are_not_exponents(tmp_path, capsys):
     # "5000" has no "e", so its digits are no exponent over 4300
     rows = [[0, "5000", "10000"], ["5000", 0, "5000"], ["10000", "5000", 0]]
@@ -492,9 +525,7 @@ def test_hostile_argv_never_escapes_main(fuzz_dir, data):
     argv = data.draw(hostile_argv(fuzz_dir))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:       # argparse rejects the argv
-            code = exc.code
+        code = cli.main(argv)
     assert code in (0, 1, 2)
+    assert isinstance(json.loads(out.getvalue()), dict)
     assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()

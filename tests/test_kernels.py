@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_classify_grid, facet_table, full_gauge
-from polyvor._kernels import OUTSIDE, TIE, classify_grid, classify_points, gauge
+from oracles import brute_classify_grid, classify_points, facet_table, full_gauge
+from polyvor._kernels import OUTSIDE, TIE, classify_grid, gauge
 from polyvor.ball import unit_hull
 from polyvor.voronoi import _facet_data, _facet_values
 from polyvor import circle_curve, hardy_weinberg_curve, random_metric, sample_curve

@@ -20,10 +20,13 @@ from polyvor import (
     random_metric,
     raster_voronoi,
     sample_curve,
+    validate_metric,
 )
 from polyvor import _kernels, voronoi
 from polyvor._chart import plot_xy
 from polyvor._kernels import OUTSIDE, TIE
+from polyvor.ball import unit_hull
+from polyvor.voronoi import _facet_data, _facet_values
 
 from oracles import (
     ball_generators,
@@ -339,14 +342,44 @@ def test_certificate_not_found_off_tangency(metrics):
     assert nf.trials > 0
 
 
+def _log_trials(monkeypatch, filtered=False):
+    """Log the certificate's trials and exact checks, its float filter off unless ``filtered``.
+
+    With the filter off the band is infinite, so no trial is skipped.  The
+    log gets "T" for each trial (one band per trial) and "E" for each exact
+    facet evaluation, so a "T" followed by an "E" is a trial the exact
+    check saw.
+    """
+    log = []
+    slack = _kernels.slack
+
+    def band(*args):
+        log.append("T")
+        return slack(*args) if filtered else math.inf
+
+    def values(*args):
+        log.append("E")
+        return _facet_values(*args)
+
+    monkeypatch.setattr(_kernels, "slack", band)
+    monkeypatch.setattr(voronoi, "_facet_values", values)
+    return log
+
+
+def _trials_checked(log):
+    """(trials, trials that reached the exact check) of a log as above."""
+    return (log.count("T"),
+            sum(1 for a, b in zip(log, log[1:] + ["T"]) if (a, b) == ("T", "E")))
+
+
 def test_exact_confirmation_decides_the_certificate(monkeypatch):
-    # with a float screen that passes every trial, the exact check alone
+    # with a float filter that passes every trial, the exact check alone
     # must reject all 48 witnesses: each sees another sample within eps
     sample = sample_curve(HW, 1001)
     x = sample.points[70]                  # parameter 0.07
-    monkeypatch.setattr(_kernels, "classify_points",
-                        lambda *args: (np.array([70]), None, None))
+    log = _log_trials(monkeypatch)
     assert dimension_certificate(x, sample, random_metric(3, 0)) == NotFound(48)
+    assert _trials_checked(log) == (48, 48)
 
 
 def test_witness_on_a_vertex_direction_is_rejected(monkeypatch, metrics):
@@ -355,11 +388,11 @@ def test_witness_on_a_vertex_direction_is_rejected(monkeypatch, metrics):
     # every trial must be rejected, though the sample check alone accepts it
     sample = sample_curve(HW, 1001)
     x = sample.points[500]                 # (1/4, 1/2, 1/4)
-    monkeypatch.setattr(_kernels, "classify_points",
-                        lambda *args: (np.array([500]), None, None))
+    log = _log_trials(monkeypatch)
     h = 2.0 ** -6
     monkeypatch.setattr(voronoi, "plot_to_point", lambda *args: (0.25 - h, 0.5 + h, 0.25))
     assert dimension_certificate(x, sample, metrics["unit"]) == NotFound(72)
+    assert _trials_checked(log) == (72, 72)
 
 
 # sha256 of certificate outcomes: a moved x or witness, a changed epsilon
@@ -391,6 +424,65 @@ def test_certificate_outcomes_match_pinned_hash():
         h.update(line.encode())
         h.update(b"\n")
     assert h.hexdigest() == CERTIFICATE_SHA256
+
+
+def _gate_outcomes():
+    """Certificates at HW census samples and circle samples on random metrics."""
+    hw = sample_curve(HW, 1001)
+    circle = sample_curve(circle_curve(0.7), 301)
+    for seed in range(10):              # seeds 4 and 5 are tight
+        d = random_metric(3, seed)
+        cases = [(hw, int(np.argmin(np.abs(hw.params - float(p)))))
+                 for p in count_full_dim_cells_hw(d).parameters]
+        cases += [(hw, 300)] + [(circle, k) for k in (0, 150)]
+        for s, k in cases:
+            yield dimension_certificate(tuple(s.points[k]), s, d)
+
+
+def test_float_filter_changes_no_certificate(monkeypatch):
+    # the filter only skips trials the exact check would reject, so with it
+    # disabled every certificate and NotFound.trials is the same
+    with monkeypatch.context() as patch:
+        log = _log_trials(patch, filtered=True)
+        filtered = list(_gate_outcomes())
+    assert any(filtered) and not all(filtered)
+    trials, checked = _trials_checked(log)
+    assert 0 < checked < trials
+    log = _log_trials(monkeypatch)
+    assert list(_gate_outcomes()) == filtered
+    assert _trials_checked(log) == (trials, trials)
+
+
+def test_float_gauge_is_within_half_the_band():
+    # the band's lemma: |fl gauge - exact gauge| <= band / 2 from a witness-like
+    # point y to every sample, band = slack(a0, a1, S + max(|y1|, |y2|))
+    rng = np.random.default_rng(5)
+    for curve in (HW, circle_curve(0.2), circle_curve(0.7), circle_curve(5)):
+        s = sample_curve(curve, 201)
+        top = max(np.max(np.abs(s.u1)), np.max(np.abs(s.u2)))
+        xs, ys = plot_xy(s.points.T)
+        dist = np.empty(s.count)
+        for seed in range(6):
+            exact, a0, a1 = _facet_data(random_metric(3, seed))
+            for k in rng.integers(0, s.count, 5):
+                off = rng.uniform(-0.25, 0.25, 2)
+                y1, y2, _ = voronoi.plot_to_point(xs[k] + off[0], ys[k] + off[1])
+                _kernels.gauge(a0, a1, s.u1 - y1, s.u2 - y2, dist)
+                half = Fraction(_kernels.slack(a0, a1, top + max(abs(y1), abs(y2)))) / 2
+                for g, s1, s2 in zip(dist.tolist(), s.u1.tolist(), s.u2.tolist()):
+                    w = _facet_values(exact, Fraction(s1) - Fraction(y1), Fraction(s2) - Fraction(y2))
+                    assert abs(Fraction(g) - max(w)) <= half
+
+
+def test_facet_table_cache_is_bounded():
+    # one entry per metric: a long run over distinct metrics must not grow
+    # the per-metric caches past their bound
+    for n in range(1, 1101):
+        _facet_data(validate_metric([[0, n, n], [n, 0, n], [n, n, 0]]))
+    for cache in (_facet_data, unit_hull):
+        info = cache.cache_info()
+        assert info.maxsize == 1024
+        assert info.currsize == info.maxsize
 
 
 def test_certificate_requires_a_sample_point(metrics):
