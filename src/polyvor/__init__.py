@@ -39,7 +39,6 @@ from polyvor.transport import (
     Infeasible,
     TransportPlan,
     as_affine_point,
-    exact_point,
     wasserstein_distance,
 )
 from polyvor.voronoi import (

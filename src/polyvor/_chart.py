@@ -25,7 +25,7 @@ def plot_xy(coords):
     """Plotting chart of a point or vector, in floats.
 
     Reads only the first two coordinates, so a rational-chart pair maps
-    too, and so do numpy columns: ``plot_xy(points.T)`` charts every row.
+    too, and so do arrays: ``plot_xy((u1, u2))`` charts every sample.
     """
     t1, t2 = coords[0], coords[1]
     return t1 + 0.5 * t2, HALF_SQRT3 * t2

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from polyvor.metrics import FiniteMetric
-from polyvor.transport import AffinePoint, DimensionMismatch, exact_point
+from polyvor.transport import AffinePoint, DimensionMismatch, _point_of
 
 
 def _generator(d: FiniteMetric, i: int, j: int) -> tuple:
@@ -79,12 +79,10 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     """
     if d.n != 2:
         raise DimensionMismatch("balls are built for n = 2")
-    c = exact_point(center)
+    c = _point_of(center, d.n_states, "center dimension does not match the metric")
     r = Fraction(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    if len(c.coords) != d.n_states:
-        raise DimensionMismatch("center dimension does not match the metric")
     gens = tuple(_lift(_generator(d, i, j)) for i in range(3) for j in range(3) if i != j)
     c1, c2, c3 = c.coords
     hull = unit_hull(d)

@@ -88,8 +88,8 @@ def overlay_svg(path, curve, ball, marks):
     """Simplex triangle + curve + tangency marks + an example ball."""
     svg = _Svg()
     svg.polygon(TRIANGLE)
-    svg.polyline([plot_xy(curve(i / (CURVE_POINTS - 1)).coords)
-                  for i in range(CURVE_POINTS)])
+    xs, ys = plot_xy(curve(np.arange(CURVE_POINTS) / (CURVE_POINTS - 1)))
+    svg.polyline(zip(xs.tolist(), ys.tolist()))
     svg.polygon([plot_xy(v.coords) for v in ball.hull_vertices],
                 stroke="#b2541f", width=2.0)
     for m in marks:

@@ -1,9 +1,10 @@
 """Points of the hyperplane sum(t) = 1 and Wasserstein distances on it.
 
-``AffinePoint`` holds exact (Fraction) or float coordinates.  Points live
-on the whole hyperplane: the polyhedral Wasserstein distance is a norm
-there, so balls and certificate witnesses may leave the simplex.  Only
-the two transport endpoints must be probability distributions, and
+``AffinePoint`` holds exact (Fraction) coordinates: a float is read at its
+exact binary value, and the coordinates must sum to exactly 1.  Points
+live on the whole hyperplane: the polyhedral Wasserstein distance is a
+norm there, so balls and certificate witnesses may leave the simplex.
+Only the two transport endpoints must be probability distributions, and
 ``wasserstein_distance`` checks that.
 
 ``wasserstein_distance`` leaves min(mu_i, nu_i) in place at every state i
@@ -17,9 +18,8 @@ simplex solves that problem exactly: the reduced supplies and demands are
 scaled by the lcm of their denominators, and the costs by the lcm of
 theirs, so every pivot runs on Python ints; a positive scaling keeps
 every comparison, so Bland's rule pivots as it would on Fractions, and
-the flow and total are divided back once.  Float endpoints are taken at
-their exact binary values; a caller that wants floats rounds the exact
-answer.
+the flow and total are divided back once.  A caller that wants floats
+rounds the exact answer.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-SUM_TOL = 1e-9     # tolerance on sum(t) = 1 for float coordinates
-FEAS_TOL = 1e-12   # how far below 0 a float transport endpoint may reach
 
 
 class DimensionMismatch(ValueError):
@@ -40,40 +37,26 @@ class Infeasible(ValueError):
     """The LP has no feasible solution, e.g. flow marginals that miss the endpoints."""
 
 
-def _is_exact(values) -> bool:
-    return all(not isinstance(v, float) for v in values)
-
-
-def _coerce_coords(seq):
-    """Normalize a coordinate sequence to all-Fraction or all-float."""
-    vals = list(seq)
-    if _is_exact(vals):
-        return tuple(Fraction(v) for v in vals)
-    floats = tuple(float(v) for v in vals)
-    if not all(math.isfinite(v) for v in floats):
-        raise ValueError("coordinates must be finite")
-    return floats
-
-
 @dataclass(frozen=True)
 class AffinePoint:
     """A point of the hyperplane sum(t) = 1, inside the simplex or not.
 
-    Coordinates must be finite.  Exact points must sum to 1 exactly; float
-    points within SUM_TOL.  Simplex membership is checked where it matters,
-    at the transport endpoints of ``wasserstein_distance``.
+    Coordinates are read with ``Fraction``, floats at their exact binary
+    values; NaN and infinities raise ValueError, and the coordinates must
+    sum to exactly 1.  Simplex membership is checked where it matters, at
+    the transport endpoints of ``wasserstein_distance``.
     """
 
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _coerce_coords(self.coords))
-        if abs(sum(self.coords) - 1) > (0 if self.is_exact else SUM_TOL):
+        try:
+            coords = tuple(map(Fraction, self.coords))
+        except (ValueError, OverflowError):     # Fraction(nan), Fraction(inf)
+            raise ValueError("coordinates must be finite numbers") from None
+        object.__setattr__(self, "coords", coords)
+        if sum(coords) != 1:
             raise ValueError("coordinates must sum to 1")
-
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact(self.coords)
 
 
 def as_affine_point(obj) -> AffinePoint:
@@ -82,18 +65,15 @@ def as_affine_point(obj) -> AffinePoint:
     return AffinePoint(tuple(obj))
 
 
-def exact_point(p) -> AffinePoint:
-    """Exact-rational copy of a point; the last coordinate absorbs float slack.
+def _point_of(obj, k: int, message: str) -> AffinePoint:
+    """``as_affine_point(obj)`` with k coordinates, else DimensionMismatch(message).
 
-    Float coordinates are converted to their exact binary values, then the
-    last coordinate is recomputed as 1 minus the rest so the affine
-    constraint holds exactly (a perturbation below 1e-9 by construction).
+    The count goes first: a short point is short, not one off the hyperplane.
     """
-    p = as_affine_point(p)
-    if p.is_exact:
-        return p
-    head = [Fraction(c) for c in p.coords[:-1]]
-    return AffinePoint(tuple(head) + (1 - sum(head),))
+    coords = obj.coords if isinstance(obj, AffinePoint) else tuple(obj)
+    if len(coords) != k:
+        raise DimensionMismatch(message)
+    return obj if isinstance(obj, AffinePoint) else AffinePoint(coords)
 
 
 @dataclass(frozen=True)
@@ -218,25 +198,15 @@ def wasserstein_distance(mu, nu, d):
     """Wasserstein distance between two simplex points under metric ``d``.
 
     Returns ``(cost, plan)`` where the plan attains the cost, both in
-    Fractions, computed on scaled integers.  Float endpoints are taken at
-    their exact binary values, clamped at 0 and rebalanced.  An endpoint
-    with an exact coordinate below 0, or a float one below -FEAS_TOL,
-    raises ValueError.
+    Fractions, computed on scaled integers; the plan's marginals are the
+    endpoints themselves.  An endpoint with a coordinate below 0 raises
+    ValueError.
     """
-    mu = as_affine_point(mu)
-    nu = as_affine_point(nu)
     k = d.n_states
-    if len(mu.coords) != len(nu.coords) or len(mu.coords) != k:
-        raise DimensionMismatch("points and metric must share one state set")
-    for p in (mu, nu):
-        if min(p.coords) < (0 if p.is_exact else -FEAS_TOL):
-            raise ValueError("transport endpoints must lie in the closed simplex")
-
-    sup = [max(c, Fraction(0)) for c in exact_point(mu).coords]
-    dem = [max(c, Fraction(0)) for c in exact_point(nu).coords]
-    # clamping can only have removed float slack; rebalance the largest entry
-    sup[sup.index(max(sup))] += 1 - sum(sup)
-    dem[dem.index(max(dem))] += 1 - sum(dem)
+    mu, nu = (_point_of(p, k, "points and metric must share one state set") for p in (mu, nu))
+    if min(mu.coords) < 0 or min(nu.coords) < 0:
+        raise ValueError("transport endpoints must lie in the closed simplex")
+    sup, dem = mu.coords, nu.coords
 
     # the mass min(sup_i, dem_i) stays at i; only the excess S moves to the deficit D
     flow = [[Fraction(0)] * k for _ in range(k)]
@@ -257,6 +227,5 @@ def wasserstein_distance(mu, nu, d):
         for a, i in enumerate(S):
             for b, j in enumerate(D):
                 flow[i][j] = Fraction(rflow[a][b], ms)
-    plan = TransportPlan(tuple(tuple(r) for r in flow),
-                         AffinePoint(tuple(sup)), AffinePoint(tuple(dem)))
+    plan = TransportPlan(tuple(tuple(r) for r in flow), mu, nu)
     return total, plan

@@ -26,7 +26,7 @@ from polyvor import _kernels
 from polyvor._chart import plot_to_point, plot_xy
 from polyvor.ball import unit_hull
 from polyvor.metrics import FiniteMetric
-from polyvor.transport import AffinePoint, DimensionMismatch, as_affine_point
+from polyvor.transport import AffinePoint, DimensionMismatch
 
 DEFAULT_TIE_TOL = 1e-9
 FULL_DIM_THRESHOLD = 0.001
@@ -75,59 +75,82 @@ def _check_memory(size, need):
 
 @dataclass(frozen=True)
 class CurveSample:
-    """A finite sample of a curve, with chart arrays ready for the kernels.
+    """A finite sample of a curve, as the rational-chart arrays the kernels read.
 
     Raster labels and certificates name a sample by its index in ``params``.
     The params must name distinct points, except that a closed curve's last
     point may repeat its first: that last sample is dropped (the seam).
-    Points must have 3 coordinates (n = 2): others raise DimensionMismatch.
     """
 
     params: np.ndarray     # (k,) float parameters
-    points: np.ndarray     # (k, 3) float simplex coordinates
-    u1: np.ndarray         # (k,) rational-chart coords, points[:, 0] and
-    u2: np.ndarray         # points[:, 1] as contiguous copies
+    u1: np.ndarray         # (k,) rational-chart coordinates; the third
+    u2: np.ndarray         # simplex coordinate is 1 - u1 - u2
 
     @classmethod
     def at_params(cls, curve, params) -> "CurveSample":
-        """Sample the point map ``curve`` at each of ``params``."""
+        """Sample the chart map ``curve`` at ``params``, in one call.
+
+        It must return two arrays of the params' shape (else DimensionMismatch).
+        """
         params = np.asarray(params, dtype=np.float64)
-        pts = np.array([[float(c) for c in curve(float(p)).coords] for p in params])
-        if pts.shape[1:] != (3,):
-            raise DimensionMismatch(f"curve samples need 3 coordinates, got shape {pts.shape}")
+        chart = [np.array(u, dtype=np.float64) for u in curve(params)]
+        if len(chart) != 2 or any(u.shape != params.shape for u in chart):
+            raise DimensionMismatch(f"a curve map must return 2 arrays of shape {params.shape}, "
+                                    f"got shapes {[u.shape for u in chart]}")
+        u1, u2 = chart
+        _check_extent(u1, u2)
         # the seam's rounding gap grows with the coordinates (1.7e-12 at circle radius 5000)
-        if len(pts) > 1 and math.hypot(pts[-1, 0] - pts[0, 0], pts[-1, 1] - pts[0, 1]) \
-                <= 1e-12 * max(1.0, float(np.abs(pts[[0, -1]]).max())):
-            params, pts = params[:-1], pts[:-1]
-        # contiguous copies: the kernel at 512^2/1001 took 0.270 s on them and
-        # 0.278 s on strided columns (2 vCPU, best of 5 in 8 rounds)
-        u1 = np.ascontiguousarray(pts[:, 0])
-        u2 = np.ascontiguousarray(pts[:, 1])
-        for arr in (params, pts, u1, u2):
+        if len(params) > 1:
+            e = [0, -1]
+            top = max(1.0, float(np.abs([u1[e], u2[e], 1.0 - u1[e] - u2[e]]).max()))
+            if math.hypot(u1[-1] - u1[0], u2[-1] - u2[0]) <= 1e-12 * top:
+                params, u1, u2 = params[:-1], u1[:-1], u2[:-1]
+        for arr in (params, u1, u2):
             arr.setflags(write=False)
-        return cls(params, pts, u1, u2)
+        return cls(params, u1, u2)
 
     @property
     def count(self) -> int:
         return len(self.params)
 
+    @property
+    def points(self) -> np.ndarray:
+        """A fresh (k, 3) array of the simplex coordinates (u1, u2, 1 - u1 - u2)."""
+        return np.stack([self.u1, self.u2, 1.0 - self.u1 - self.u2], axis=1)
+
     def spacing(self) -> float:
         """Max plotting-chart distance between consecutive samples."""
-        xs, ys = plot_xy(self.points.T)
+        xs, ys = plot_xy((self.u1, self.u2))
         dx, dy = np.diff(xs), np.diff(ys)
         return float(np.max(np.hypot(dx, dy))) if len(dx) else 0.0
 
 
-def sample_curve(curve, count: int) -> CurveSample:
-    """Sample the point map at ``count`` uniformly spaced parameters including endpoints.
+def _check_extent(u1, u2):
+    """Refuse chart coordinates too large for a float gauge to see the simplex.
 
-    ``CurveSample.at_params`` peaks near 260 B per sample, and the count is
-    refused when that exceeds a quarter of physical memory.  A closed curve
-    needs 3, as its last sample repeats the first and is dropped.
+    A pixel center moves a gauge by at most A, and a gauge comparison rounds
+    within ``_kernels.slack(a0, a1, S + 1)`` = SLACK_ULPS eps A (S + 1), S =
+    max(|u1|, |u2|) the extent: from S + 1 = 2^48 on that covers the whole
+    move, and near the float maximum it overflows.  NaN fails the test too.
+    """
+    # np.maximum, not max: it keeps a NaN in either argument
+    extent = float(np.maximum(np.max(np.abs(u1), initial=0.0), np.max(np.abs(u2), initial=0.0)))
+    if not extent + 1.0 < 1.0 / (_kernels.SLACK_ULPS * np.finfo(np.float64).eps):
+        raise ValueError(f"curve sample extent {extent!r} is not below 2^48 - 1, "
+                         "where float gauges no longer resolve the simplex")
+
+
+def sample_curve(curve, count: int) -> CurveSample:
+    """Sample the chart map at ``count`` uniformly spaced parameters including endpoints.
+
+    Sampling peaks at 56 B per sample (tracemalloc: 40 B on the
+    Hardy-Weinberg curve, 56 B on the circle), and the count is refused
+    when that exceeds a quarter of physical memory.  A closed curve needs
+    3, as its last sample repeats the first and is dropped.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
-    size = 260 * count
+    size = 56 * count
     _check_memory(size, f"{count} samples need {size} B")
     sample = CurveSample.at_params(curve, np.linspace(0.0, 1.0, count))
     if sample.count < 2:
@@ -233,9 +256,10 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     would certify anything.  A candidate is accepted only after an exact
     check: every other sample strictly outside the ball, and x on exactly
     one facet functional (relative interior of an edge).  Returns a falsy
-    NotFound when no candidate survives.  The point must have d.n_states
-    coordinates (else DimensionMismatch) and lie within 1e-9 of a sample
-    in the plotting chart (else ValueError).
+    NotFound when no candidate survives.  The point is a plain sequence of
+    d.n_states coordinates (else DimensionMismatch), not necessarily summing
+    to 1, whose first two lie within 1e-9 of a sample in the plotting chart
+    (else ValueError).
 
     Floats only skip candidates the exact check would reject.  Coordinates
     are floats, which Fraction reads exactly.  In the ``_kernels`` "Slack"
@@ -249,16 +273,15 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     below eps.  The rest are checked exactly, samples nearest first.
     """
     exact, a0, a1 = _facet_data(d)
-    p = as_affine_point(point)
-    if len(p.coords) != d.n_states:
-        raise DimensionMismatch(f"point has {len(p.coords)} coordinates, not {d.n_states}")
-    px, py = plot_xy(p.coords)
-    xs, ys = plot_xy(sample.points.T)
+    if len(point) != d.n_states:
+        raise DimensionMismatch(f"point has {len(point)} coordinates, not {d.n_states}")
+    px, py = plot_xy(point)
+    xs, ys = plot_xy((sample.u1, sample.u2))
     # math.hypot, not np.hypot: they differ in the last bit on about
     # 0.6 % of inputs, which could move a near tie to another sample
     dist = list(map(math.hypot, (xs - px).tolist(), (ys - py).tolist()))
     idx = dist.index(min(dist))
-    if dist[idx] > 1e-9:
+    if not dist[idx] <= 1e-9:       # a NaN point is no sample point either
         raise ValueError("point is not a sample point")
     # certify the sample itself, not the caller's point near it
     x0, y0 = xs[idx], ys[idx]

@@ -21,7 +21,10 @@ shares as little code with it as possible:
   of a tangent field;
 * ``veronese_tangent``, ``hw_tangent`` and ``circle_tangent`` -- the
   curves' tangent fields, by differentiating their closed forms, and
-  ``veronese_curve`` -- the point map of the Veronese curve of any degree n;
+  ``veronese_curve`` -- the chart map of the Veronese curve of any degree n;
+* ``hw_chart_scalar`` and ``circle_chart_scalar`` -- the curves' chart
+  coordinates one parameter at a time in Python floats, the per-sample
+  formulas that the vectorized chart maps must reproduce bit for bit;
 * ``facet_table`` -- all m facet functionals of the unit ball, one per
   edge of ``unit_hull``, exact and as floats;
 * ``full_gauge`` -- the float gauge as the running max over a table's
@@ -36,7 +39,8 @@ functional per antipodal pair, where ``facet_table`` has all m), and
 ``classify_points`` runs the library's ``gauge`` and ``_nearest`` on loose
 points, so they only give the tests an exact gauge and single-point
 labels.  ``chart2`` reads the rational chart (t1, t2) off a point or
-vector.
+vector, ``curve_point`` the float point of a chart map at one
+parameter and ``sample_point`` the float point of one curve sample.
 
 Only tests import this module; pytest puts ``tests/`` on ``sys.path``.
 """
@@ -53,14 +57,7 @@ import numpy as np
 from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, plot_xy
 from polyvor._kernels import OUTSIDE, _nearest, gauge
 from polyvor.ball import unit_hull
-from polyvor.curve import veronese_point
-from polyvor.transport import (
-    DimensionMismatch,
-    Infeasible,
-    _network_simplex,
-    as_affine_point,
-    exact_point,
-)
+from polyvor.transport import DimensionMismatch, Infeasible, _network_simplex, as_affine_point
 from polyvor.voronoi import DEFAULT_TIE_TOL, _facet_data, _facet_values
 
 
@@ -71,6 +68,21 @@ class TooLarge(ValueError):
 def chart2(coords):
     """Rational chart of a 3-coordinate point or vector: drop the last entry."""
     return coords[0], coords[1]
+
+
+def curve_point(curve, p):
+    """The float point of the chart map ``curve`` at one parameter p.
+
+    The map's chart arrays at [p], with the last coordinate 1 minus the rest.
+    """
+    head = [float(u[0]) for u in curve(np.array([float(p)]))]
+    return (*head, 1.0 - sum(head))
+
+
+def sample_point(sample, k):
+    """Float simplex coordinates (u1, u2, 1 - u1 - u2) of sample k of a CurveSample."""
+    u1, u2 = float(sample.u1[k]), float(sample.u2[k])
+    return u1, u2, 1.0 - u1 - u2
 
 
 def _chart_difference(p, q):
@@ -145,8 +157,8 @@ def gauge_distance(x, y, generators) -> Fraction:
     generators.  For the distance to be symmetric the generator set should
     be centrally symmetric (not enforced here).
     """
-    x = exact_point(as_affine_point(x))
-    y = exact_point(as_affine_point(y))
+    x = as_affine_point(x)
+    y = as_affine_point(y)
     if len(x.coords) != len(y.coords):
         raise DimensionMismatch("points live in different simplices")
     gens = [tuple(Fraction(c) for c in g) for g in generators]
@@ -261,8 +273,8 @@ def brute_force_distance(mu, nu, d) -> Fraction:
     Kept deliberately naive as an independent check on the simplex;
     refuses instances with n > 4.
     """
-    mu = exact_point(as_affine_point(mu))
-    nu = exact_point(as_affine_point(nu))
+    mu = as_affine_point(mu)
+    nu = as_affine_point(nu)
     k = d.n_states
     if len(mu.coords) != k or len(nu.coords) != k:
         raise DimensionMismatch("points and metric must share one state set")
@@ -300,18 +312,13 @@ def full_transport_distance(mu, nu, d) -> Fraction:
     """Exact transport cost from the network simplex on the whole k x k problem.
 
     Every state is a source and a sink, the common mass min(mu_i, nu_i)
-    included, and the simplex pivots on Fractions; the endpoints are
-    clamped and rebalanced as ``wasserstein_distance`` does.
+    included, and the simplex pivots on Fractions.
     """
-    mu = exact_point(as_affine_point(mu))
-    nu = exact_point(as_affine_point(nu))
-    sup = [max(c, Fraction(0)) for c in mu.coords]
-    dem = [max(c, Fraction(0)) for c in nu.coords]
-    sup[sup.index(max(sup))] += 1 - sum(sup)
-    dem[dem.index(max(dem))] += 1 - sum(dem)
+    mu = as_affine_point(mu)
+    nu = as_affine_point(nu)
     k = d.n_states
     cost = [[Fraction(d[i, j]) for j in range(k)] for i in range(k)]
-    return _network_simplex(sup, dem, cost)[1]
+    return _network_simplex(list(mu.coords), list(nu.coords), cost)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +336,7 @@ def face_cone_membership(ball, face, y) -> bool:
     x).  All predicates are exact rational sign tests in the rational chart.
     """
     x = ball.center
-    y = exact_point(y)
+    y = as_affine_point(y)
     if face is None:
         return x.coords == y.coords
     m = ball.vertex_count
@@ -371,28 +378,21 @@ def half_ball_test(point, normal, curve, r: float = 0.05,
                    sample_density: int = 2048) -> bool:
     """Does the curve stay on one side of the line through ``point``?
 
-    ``curve`` is a point map p |-> AffinePoint, as ``hardy_weinberg_curve()``
-    returns.  Checks the sign of <normal, c - point> in the plotting chart
-    over all curve points sampled at ``sample_density`` parameters that
-    fall within Euclidean distance r of the point (the point itself
-    excluded).  True for the tangent-line normal at a tangency; False where
-    the curve crosses the line.
+    ``point`` is a coordinate sequence and ``curve`` a chart map, as
+    ``hardy_weinberg_curve()`` returns.  Checks the sign of
+    <normal, c - point> in the plotting chart over all curve points sampled
+    at ``sample_density`` parameters that fall within Euclidean distance r
+    of the point (the point itself excluded).  True for the tangent-line
+    normal at a tangency; False where the curve crosses the line.
     """
-    p = as_affine_point(point)
-    x0, y0 = plot_xy(p.coords)
+    x0, y0 = plot_xy([float(c) for c in point])
     nrm = tuple(normal)
     if len(nrm) == 3:
         n0, n1 = plot_xy(nrm)
     else:
         n0, n1 = float(nrm[0]), float(nrm[1])
 
-    ps = np.linspace(0.0, 1.0, sample_density)
-    xs = np.empty(sample_density)
-    ys = np.empty(sample_density)
-    for i, t in enumerate(ps):
-        cx, cy = plot_xy(curve(float(t)).coords)
-        xs[i] = cx
-        ys[i] = cy
+    xs, ys = plot_xy(curve(np.linspace(0.0, 1.0, sample_density)))
     dx = xs - x0
     dy = ys - y0
     r2 = dx * dx + dy * dy
@@ -404,8 +404,39 @@ def half_ball_test(point, normal, curve, r: float = 0.05,
 
 
 def veronese_curve(n: int):
-    """The Veronese curve's point map p |-> veronese_point(n, p) of binomial densities."""
-    return lambda p: veronese_point(n, p)
+    """The Veronese curve's chart map: p |-> its first n binomial coordinates.
+
+    Coordinate k is C(n, k) p^(n-k) (1-p)^k, the last (k = n) is dropped;
+    n = 2 is the Hardy-Weinberg curve.
+    """
+    def chart(p):
+        q = 1 - p
+        return tuple(math.comb(n, k) * p ** (n - k) * q ** k for k in range(n))
+
+    return chart
+
+
+def hw_chart_scalar(p: float):
+    """Hardy-Weinberg chart coordinates at one float p: (p^2, 2p(1-p)).
+
+    The per-point float formula C(2, k) p^(2-k) (1-p)^k in Python floats,
+    ``**`` being C pow.
+    """
+    q = 1 - p
+    return tuple(math.comb(2, k) * p ** (2 - k) * q ** k for k in range(2))
+
+
+def circle_chart_scalar(radius: float):
+    """Chart coordinates of ``circle_curve(radius)`` at one float p, via ``math``."""
+    cx, cy, rho = 0.5, HALF_SQRT3 / 3.0, float(radius)
+
+    def chart(p):
+        th = 2.0 * math.pi * p
+        x, y = cx + rho * math.cos(th), cy + rho * math.sin(th)
+        t2 = y * INV_HALF_SQRT3
+        return x - 0.5 * t2, t2
+
+    return chart
 
 
 def veronese_tangent(n: int, p) -> tuple:
@@ -452,9 +483,8 @@ def circle_tangent(radius: float = 0.2):
 def planar_tangency_points(curve, tangent, direction, bracket_count: int = 256):
     """Parameters where ``tangent(p)`` is parallel to ``direction``.
 
-    ``curve`` is the point map p |-> AffinePoint, read only at p = 0 and 1
-    to tell a closed curve; ``tangent`` is its tangent field, p |-> a
-    sum-zero triple.
+    ``curve`` is the chart map, read only at p = 0 and 1 to tell a closed
+    curve; ``tangent`` is its tangent field, p |-> a sum-zero triple.
     Numeric counterpart of ``count_full_dim_cells_hw``: sign changes of the
     plotting-chart cross product are bracketed on a uniform grid and
     bisected to 1e-12.  Open curves report interior parameters only; on
@@ -492,9 +522,7 @@ def planar_tangency_points(curve, tangent, direction, bracket_count: int = 256):
     if vals[-1] == 0.0:
         roots.append(1.0)
 
-    p0, p1 = curve(0), curve(1)
-    x0, y0 = plot_xy(p0.coords)
-    x1, y1 = plot_xy(p1.coords)
+    (x0, x1), (y0, y1) = plot_xy(curve(np.array([0.0, 1.0])))
     closed = math.hypot(x1 - x0, y1 - y0) < 1e-9
 
     cleaned = []
@@ -586,12 +614,11 @@ def exact_gauge(d, w) -> Fraction:
 def classify(point, sample, d) -> int:
     """Index of the strictly nearest sample, or TIE (-2) when ambiguous.
 
-    Two samples tie when their distances differ by less than
-    DEFAULT_TIE_TOL.
+    ``point`` is a coordinate sequence, read in floats.  Two samples tie
+    when their distances differ by less than DEFAULT_TIE_TOL.
     """
     _, a0, a1 = _facet_data(d)
-    p = as_affine_point(point)
-    t1, t2 = float(p.coords[0]), float(p.coords[1])
+    t1, t2 = float(point[0]), float(point[1])
     lab, _, _ = classify_points(t1, t2, a0, a1, sample.u1, sample.u2, DEFAULT_TIE_TOL)
     return int(lab[0])
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,34 @@ def test_non_finite_circle_radius_is_json_error(tmp_path, capsys, radius, shown)
     assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
 
 
+@pytest.mark.parametrize("radius", ["1e300", "1.5e308"])
+def test_huge_circle_radius_is_json_error(tmp_path, capsys, radius):
+    # past 2^48 a float gauge no longer sees the simplex; at 1.5e308 the
+    # rounding band overflowed and the raster reported a 128 px cell
+    code = cli.main(["raster", "--metric", metric_file(tmp_path, UNIT), "--curve", "circle",
+                     "--resolution", "8", "--samples", "11", "--circle-radius", radius])
+    text = capsys.readouterr().out
+    assert code == 1
+    error = json.loads(text, parse_constant=pytest.fail)["error"]
+    assert error["type"] == "ValueError"
+    assert re.fullmatch(r"curve sample extent \S+e\+30\d is not below 2\^48 - 1, "
+                        r"where float gauges no longer resolve the simplex", error["message"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ball", "--center", "1/3,1/3", "--radius", "1/3"],
+     "center dimension does not match the metric"),
+    (["distance", "--mu", "1/3,1/3", "--nu", "1,0,0"],
+     "points and metric must share one state set"),
+])
+def test_short_points_are_dimension_mismatches(tmp_path, capsys, argv, message):
+    # 1/3 + 1/3 also misses the sum 1: the count is checked first
+    code = cli.main(argv[:1] + ["--metric", metric_file(tmp_path, UNIT)] + argv[1:])
+    text = capsys.readouterr().out
+    assert code == 1
+    assert text == json.dumps({"error": {"type": "DimensionMismatch", "message": message}}) + "\n"
+
+
 FOUR_STATE = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
 
 
@@ -419,14 +448,14 @@ def test_two_samples_of_the_circle_are_json_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["raster", "check"])
 def test_sample_count_over_the_memory_budget_is_json_error(tmp_path, capsys, command):
-    # 260 B per sample at 10^12 samples is 236 TiB: refused before sampling
+    # 56 B per sample at 10^12 samples is 51 TiB: refused before sampling
     argv = [command, "--resolution", "8", "--samples", str(10**12)]
     if command == "raster":
         argv += ["--metric", metric_file(tmp_path, UNIT)]
     code = cli.main(argv)
     text = capsys.readouterr().out
     assert code == 1
-    message = ("1000000000000 samples need 260000000000000 B, "
+    message = ("1000000000000 samples need 56000000000000 B, "
                "over a quarter of physical memory")
     assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
 

@@ -16,13 +16,17 @@ from polyvor import (
     count_full_dim_cells_hw,
     edge_directions,
     hardy_weinberg_curve,
+    sample_curve,
     validate_metric,
     veronese_point,
 )
 
 from oracles import (
     chart2,
+    circle_chart_scalar,
     circle_tangent,
+    curve_point,
+    hw_chart_scalar,
     hw_tangent,
     planar_tangency_points,
     veronese_curve,
@@ -49,6 +53,11 @@ def test_parameter_range():
         veronese_point(2, -0.25)
     veronese_point(2, 0)    # endpoints allowed
     veronese_point(2, 1)
+    hw = hardy_weinberg_curve()
+    for bad in ([0.5, 1.5], [-0.25], [np.nan]):
+        with pytest.raises(ParameterOutOfRange):
+            hw(np.array(bad))
+    hw(np.array([0.0, 1.0]))
 
 
 def test_hw_tangent_closed_form():
@@ -67,11 +76,11 @@ def test_tangent_matches_finite_differences():
     for curve, tangent in curves:
         for _ in range(100):
             p = float(rng.uniform(0.05, 0.95))
-            a = curve(p - h)
-            b = curve(p + h)
+            a = curve_point(curve, p - h)
+            b = curve_point(curve, p + h)
             t = tangent(p)
             for i, tc in enumerate(t):
-                fd = (float(b.coords[i]) - float(a.coords[i])) / (2 * h)
+                fd = (b[i] - a[i]) / (2 * h)
                 scale = max(1.0, abs(fd))
                 assert abs(float(tc) - fd) <= 1e-6 * scale
 
@@ -126,12 +135,9 @@ def test_circle_points_on_circle():
     circle = circle_curve(radius=0.2)
     from polyvor._chart import plot_xy
     cx, cy = 0.5, float(np.sqrt(3) / 6)
-    for p in np.linspace(0, 1, 17):
-        x, y = plot_xy(circle(float(p)).coords)
-        assert abs((x - cx) ** 2 + (y - cy) ** 2 - 0.04) < 1e-12
-    a = plot_xy(circle(0.0).coords)
-    b = plot_xy(circle(1.0).coords)
-    assert abs(a[0] - b[0]) < 1e-12 and abs(a[1] - b[1]) < 1e-12
+    xs, ys = plot_xy(circle(np.linspace(0, 1, 17)))
+    assert np.all(np.abs((xs - cx) ** 2 + (ys - cy) ** 2 - 0.04) < 1e-12)
+    assert abs(xs[0] - xs[-1]) < 1e-12 and abs(ys[0] - ys[-1]) < 1e-12
 
 
 def test_tangency_direction_matches_tangent(metrics):
@@ -142,3 +148,23 @@ def test_tangency_direction_matches_tangent(metrics):
             t = chart2(hw_tangent(e.p_star))
             u = chart2(e.direction)
             assert t[0] * u[1] - t[1] * u[0] == 0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_sample_arrays_equal_the_scalar_formulas():
+    # each chart map is one numpy call over the parameters; its arrays carry
+    # the bits of the per-sample float formulas (numpy's p ** 2 differed
+    # from them at 1391 of the counts 2..2999, the first at 42)
+    for n in [*range(2, 800), 1001, 4001]:
+        s = sample_curve(hardy_weinberg_curve(), n)
+        want = [hw_chart_scalar(p) for p in s.params.tolist()]
+        assert np.array_equal(_bits(np.stack([s.u1, s.u2], axis=1)), _bits(want)), n
+    for radius in (0.2, 0.7, 5):
+        scalar = circle_chart_scalar(radius)
+        for n in [*range(3, 120), 151, 301, 1001]:
+            s = sample_curve(circle_curve(radius), n)
+            want = [scalar(p) for p in s.params.tolist()]
+            assert np.array_equal(_bits(np.stack([s.u1, s.u2], axis=1)), _bits(want)), (radius, n)

@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "count_full_dim_cells_hw",
     "dimension_certificate",
     "edge_directions",
-    "exact_point",
     "full_dim_upper_bound",
     "hardy_weinberg_curve",
     "random_metric",

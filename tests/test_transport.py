@@ -5,9 +5,9 @@ the transportation polytope, so agreement with it on random instances is
 the strongest check we have short of an external LP solver.  The gauge LP
 (minimal generator combination) gives a second, geometry-flavored oracle.
 The full k x k simplex checks the reduction to the moved mass up to
-k = 12, and scipy's HiGHS checks the cost up to k = 60.  The solver is
-exact only: float endpoints are solved at their exact binary values, and
-their costs are checked against float references to 1e-9.
+k = 12, and scipy's HiGHS checks the cost up to k = 60.  Points are exact
+only: a float coordinate is read at its exact binary value, and a point
+whose binary values do not sum to exactly 1 is refused.
 """
 
 import hashlib
@@ -24,7 +24,6 @@ from polyvor import (
     Infeasible,
     TransportPlan,
     as_affine_point,
-    exact_point,
     wasserstein_distance,
 )
 from polyvor.metrics import random_metric
@@ -51,6 +50,20 @@ def random_simplex_point(rng, k, denom=60):
     return AffinePoint(tuple(F(p, denom) for p in parts))
 
 
+def rebalanced_floats(coords):
+    """The exact point that floats of ``coords`` used to be solved at.
+
+    Before points were exact only, a float endpoint was read as its first
+    coordinates' binary values with the last set to 1 minus their sum, then
+    clamped at 0 with the clamped mass given to the largest entry.  The
+    pinned plans keep solving those same endpoints.
+    """
+    head = [F(float(c)) for c in coords[:-1]]
+    point = [max(c, F(0)) for c in head + [1 - sum(head)]]
+    point[point.index(max(point))] += 1 - sum(point)
+    return tuple(point)
+
+
 # ---------------------------------------------------------------- containers
 
 
@@ -59,23 +72,33 @@ def test_affine_point_validation():
         AffinePoint((F(1, 2), F(1, 2), F(1, 2)))
     # a point of the hyperplane outside the simplex is a valid point
     p = AffinePoint((F(3, 2), F(-1, 2), F(0)))
-    assert p.is_exact
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
+    assert all(isinstance(c, F) for c in p.coords)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
             AffinePoint((bad, 0.5, 0.5))
-    # float tolerance: SUM_TOL = 1e-9 on the sum
-    AffinePoint((0.5, 0.5, 5e-10))
+    # no tolerance on the sum, for floats either
     tiny = F(1, 10 ** 30)
-    for bad in ((0.5, 0.5, 2e-9), (F(1, 2), F(1, 2), tiny)):
-        with pytest.raises(ValueError):
+    for bad in ((0.5, 0.5, 5e-10), (0.1, 0.2, 0.7), (F(1, 2), F(1, 2), tiny)):
+        with pytest.raises(ValueError, match="sum to 1"):
             AffinePoint(bad)
 
 
-def test_exact_point_absorbs_float_slack():
-    p = as_affine_point((0.1, 0.2, 0.7))
-    ex = exact_point(p)
-    assert sum(ex.coords) == 1
-    assert all(isinstance(c, F) for c in ex.coords)
+def test_float_coordinates_are_read_exactly(metrics):
+    # dyadic floats are their own binary values, which sum to 1 exactly
+    mu, nu = (0.5, 0.25, 0.25), (0.25, 0.5, 0.25)
+    assert as_affine_point(mu).coords == (F(1, 2), F(1, 4), F(1, 4))
+    cost, plan = wasserstein_distance(mu, nu, metrics["line"])
+    assert cost == F(1, 4) and plan.source == as_affine_point(mu)
+    # the binary values of 0.1, 0.2 and 0.7 miss 1, so the point is refused
+    assert sum(map(F, (0.1, 0.2, 0.7))) != 1
+    with pytest.raises(ValueError, match="sum to 1"):
+        wasserstein_distance((0.1, 0.2, 0.7), nu, metrics["line"])
+    rng = np.random.default_rng(20261020)
+    for k in (3, 5, 8, 12):
+        d = random_metric(k, 200 + k)
+        mu, nu = random_simplex_point(rng, k, 64), random_simplex_point(rng, k, 64)
+        floats = [tuple(float(c) for c in p.coords) for p in (mu, nu)]
+        assert wasserstein_distance(*floats, d) == wasserstein_distance(mu, nu, d)
 
 
 def test_transport_plan_marginal_check(metrics):
@@ -102,14 +125,12 @@ def _pinned_solves():
     for k, seed in ((3, 11), (4, 12), (6, 13), (9, 14)):
         d = random_metric(k, seed)
         mu, nu = random_simplex_point(rng, k), random_simplex_point(rng, k)
-        fmu = tuple(float(c) for c in mu.coords)
-        fnu = tuple(float(c) for c in nu.coords)
         yield wasserstein_distance(mu, nu, d)
-        yield wasserstein_distance(fmu, fnu, d)
-    # float endpoint with a slightly negative coordinate: the exact path
-    # clamps it to 0 and rebalances the largest entry
+        yield wasserstein_distance(rebalanced_floats(mu.coords), rebalanced_floats(nu.coords), d)
+    # floats with a slightly negative coordinate, clamped to 0 and rebalanced
     d = random_metric(4, 15)
-    yield wasserstein_distance((0.25, 0.5 + 1e-13, -1e-13, 0.25), (0.1, 0.2, 0.3, 0.4), d)
+    yield wasserstein_distance(rebalanced_floats((0.25, 0.5 + 1e-13, -1e-13, 0.25)),
+                               rebalanced_floats((0.1, 0.2, 0.3, 0.4)), d)
     mu = random_simplex_point(rng, 6)
     yield wasserstein_distance(mu, mu, random_metric(6, 16))
     # a pivot with a tie for the leaving arc, which Bland's rule breaks
@@ -130,10 +151,8 @@ def _random_solves():
     for k in (3, 5, 8, 12, 20):
         d = random_metric(k, 100 + k)
         mu, nu = random_simplex_point(rng, k), random_simplex_point(rng, k)
-        fmu = tuple(float(c) for c in mu.coords)
-        fnu = tuple(float(c) for c in nu.coords)
         yield wasserstein_distance(mu, nu, d)
-        yield wasserstein_distance(fmu, fnu, d)
+        yield wasserstein_distance(rebalanced_floats(mu.coords), rebalanced_floats(nu.coords), d)
 
 
 @pytest.mark.parametrize("solves", [_pinned_solves, _random_solves])
@@ -151,7 +170,7 @@ def test_plans_move_only_the_excess(solves):
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_transport_endpoints_must_lie_in_the_simplex(metrics, exact):
-    """Exact coordinates must be >= 0, float ones >= -FEAS_TOL = -1e-12."""
+    """Every coordinate must be >= 0, floats at their binary values too."""
     d = metrics["unit"]
     inside = (F(1, 3),) * 3
     tiny = F(1, 10 ** 30)
@@ -159,17 +178,15 @@ def test_transport_endpoints_must_lie_in_the_simplex(metrics, exact):
         bads = ((F(3, 2), F(-1, 2), F(0)), (F(1, 2), F(1, 2) + tiny, -tiny))
         edge = (F(1, 2), F(1, 2), F(0))
     else:
-        bads = ((0.5, 0.5 + 1e-11, -1e-11),)
-        edge = (0.5, 0.5 + 1e-13, -1e-13)
+        bads = ((0.5, 0.75, -0.25), (0.5, 0.5 + 2 ** -40, -(2 ** -40)))
+        edge = (0.5, 0.5, 0.0)
     for bad in bads:
         for mu, nu in ((bad, inside), (inside, bad)):
             with pytest.raises(ValueError, match="closed simplex"):
                 wasserstein_distance(mu, nu, d)
     for mu, nu in ((edge, inside), (inside, edge)):
         cost, plan = wasserstein_distance(mu, nu, d)
-        assert abs(cost - F(1, 3)) < 1e-9 and min(plan.source.coords) >= 0
-        if exact:
-            assert cost == F(1, 3)
+        assert cost == F(1, 3) and min(plan.source.coords) >= 0
 
 
 # ------------------------------------------------------------ frozen oracles
@@ -222,10 +239,6 @@ def test_solver_oracle_equivalence_random():
         assert plan.cost(d) == exact_cost
         g = gauge_distance(mu, nu, ball_generators(d))
         assert g == exact_cost
-        float_cost, _ = wasserstein_distance(
-            as_affine_point(tuple(float(c) for c in mu.coords)),
-            as_affine_point(tuple(float(c) for c in nu.coords)), d)
-        assert abs(float_cost - float(exact_cost)) <= 1e-9
 
 
 def test_vertex_recovery_random():
@@ -290,9 +303,6 @@ def test_reduced_solve_equals_full_solve(instance):
     cost, plan = wasserstein_distance(mu, nu, d)
     assert cost == full_transport_distance(mu, nu, d)
     assert plan.cost(d) == cost
-    fmu = tuple(float(c) for c in mu.coords)
-    fnu = tuple(float(c) for c in nu.coords)
-    assert abs(wasserstein_distance(fmu, fnu, d)[0] - float(cost)) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [20, 40, 60])
@@ -309,10 +319,7 @@ def test_costs_match_highs(k):
                   bounds=(0, None), method="highs")
     assert res.status == 0
     cost, _ = wasserstein_distance(mu, nu, d)
-    fcost, _ = wasserstein_distance(tuple(float(c) for c in mu.coords),
-                                    tuple(float(c) for c in nu.coords), d)
     assert abs(float(cost) - res.fun) <= 1e-9
-    assert abs(fcost - res.fun) <= 1e-9
 
 
 # ------------------------------------------------------------------- errors

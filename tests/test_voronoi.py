@@ -32,11 +32,13 @@ from oracles import (
     ball_generators,
     brute_classify_grid,
     classify,
+    curve_point,
     exact_gauge,
     face_cone_decomposition_check,
     facet_table,
     gauge_distance,
     half_ball_test,
+    sample_point,
     veronese_curve,
 )
 
@@ -49,8 +51,8 @@ def exhaustive_nearest(point, sample, d):
     y2 = Fraction(float(point[1]))
     vals = []
     for k in range(sample.count):
-        s1 = Fraction(float(sample.points[k][0]))
-        s2 = Fraction(float(sample.points[k][1]))
+        s1 = Fraction(float(sample.u1[k]))
+        s2 = Fraction(float(sample.u2[k]))
         vals.append(exact_gauge(d, (s1 - y1, s2 - y2, 0)))
     best = min(range(sample.count), key=lambda k: (vals[k], k))
     runner = min(vals[k] for k in range(sample.count) if k != best)
@@ -60,7 +62,7 @@ def exhaustive_nearest(point, sample, d):
 def test_classify_sample_point_is_itself(metrics):
     sample = sample_curve(HW, 101)
     for i in (0, 17, 50, 100):
-        assert classify(tuple(sample.points[i]), sample, metrics["unit"]) == i
+        assert classify(sample_point(sample, i), sample, metrics["unit"]) == i
 
 
 def test_classify_matches_exhaustive_scan(metrics):
@@ -74,9 +76,8 @@ def test_classify_matches_exhaustive_scan(metrics):
     assert label == best
     # the LP gauge agrees with the facet-functional gauge at the winner
     y_ex = (Fraction(6, 10), Fraction(3, 10), Fraction(1, 10))
-    s = sample.points[best]
-    s_ex = (Fraction(float(s[0])), Fraction(float(s[1])),
-            1 - Fraction(float(s[0])) - Fraction(float(s[1])))
+    s1, s2 = Fraction(float(sample.u1[best])), Fraction(float(sample.u2[best]))
+    s_ex = (s1, s2, 1 - s1 - s2)
     lp = gauge_distance(y_ex, s_ex, ball_generators(d))
     assert lp == exact_gauge(d, tuple(a - b for a, b in zip(s_ex, y_ex)))
 
@@ -113,6 +114,7 @@ def test_classify_rejects_nothing_inside(metrics):
 def test_sample_curve_basic_properties():
     s = sample_curve(HW, 3)
     assert list(s.params) == [0.0, 0.5, 1.0]
+    assert s.points.tolist() == [[0.0, 0.0, 1.0], [0.25, 0.5, 0.25], [1.0, 0.0, 0.0]]
     assert s.count == 3
     assert len(s.u1) == 3
     with pytest.raises(ValueError):
@@ -144,12 +146,25 @@ def test_closed_curve_refuses_a_count_that_leaves_one_sample():
 
 
 def test_samples_off_the_plane_are_refused():
-    # the kernels and certificates read the first two coordinates as the
-    # rational chart, which is the simplex only for 3 coordinates
-    with pytest.raises(DimensionMismatch, match="got shape \\(11, 4\\)"):
+    # the kernels and certificates read two chart arrays, the rational chart
+    # of the simplex; the chart of the 3-simplex has three, the segment's one
+    with pytest.raises(DimensionMismatch, match=r"got shapes \[\(11,\), \(11,\), \(11,\)\]"):
         sample_curve(veronese_curve(3), 11)
-    with pytest.raises(DimensionMismatch, match="got shape \\(2, 2\\)"):
+    with pytest.raises(DimensionMismatch, match=r"got shapes \[\(2,\)\]"):
         CurveSample.at_params(veronese_curve(1), [0.25, 0.75])
+    # two arrays, but not one value per parameter
+    with pytest.raises(DimensionMismatch, match=r"of shape \(2,\), got shapes \[\(1,\), \(2,\)\]"):
+        CurveSample.at_params(lambda p: (p[:1], p), [0.25, 0.75])
+
+
+def test_chart_coordinates_past_the_gauge_resolution_are_refused():
+    # from extent 2^48 - 1 on a gauge's rounding band covers the simplex
+    for bad in (math.nan, math.inf, -math.inf, 2.0 ** 48):
+        for curve in (lambda p: (p * 0 + bad, p), lambda p: (p, p * 0 + bad)):
+            with pytest.raises(ValueError, match="curve sample extent"):
+                CurveSample.at_params(curve, [0.25, 0.75])
+    s = CurveSample.at_params(lambda p: (-p * 2.0 ** 47, p), [0.25, 0.75])
+    assert s.count == 2
 
 
 def test_exact_ties_go_to_the_lowest_sample_index():
@@ -160,14 +175,14 @@ def test_exact_ties_go_to_the_lowest_sample_index():
     s = sample_curve(circle_curve(0.2), 151)
     _, a0, a1 = facet_table(d)
     labels = raster_voronoi(s, d, 96, tie_tolerance=0.0).labels
-    want = brute_classify_grid(96, a0, a1, s.points[:, 0], s.points[:, 1], 0.0)
+    want = brute_classify_grid(96, a0, a1, s.u1, s.u2, 0.0)
     assert np.array_equal(labels, want)
     assert int((labels == 37).sum()) == 442
 
 
 def test_sample_chart_geometry_matches_per_sample_scan():
     for s in (sample_curve(HW, 201), sample_curve(circle_curve(), 301)):
-        xy = np.array([plot_xy(p) for p in s.points])
+        xy = np.array([plot_xy(p) for p in zip(s.u1.tolist(), s.u2.tolist())])
         steps = np.hypot(np.diff(xy[:, 0]), np.diff(xy[:, 1]))
         assert s.spacing() == float(np.max(steps))
 
@@ -198,11 +213,10 @@ def test_raster_refuses_a_label_array_over_the_memory_budget(metrics):
 
 def test_raster_refuses_tile_bounds_over_the_memory_budget(metrics):
     # 10^12 samples as zero-stride views: 32 B of tile bounds per sample
-    # is 29 TiB at R = 8, while the views hold five numbers
+    # is 29 TiB at R = 8, while the views hold one number
     n = 10**12
-    row = np.broadcast_to(np.array([0.25, 0.5, 0.25]), (n, 3))
     flat = np.broadcast_to(np.array(0.5), (n,))
-    sample = CurveSample(flat, row, flat, flat)
+    sample = CurveSample(flat, flat, flat)
     message = (f"resolution 8 with {n} samples needs {512 + 32 * n} B of labels "
                "and tile bounds, over a quarter of physical memory")
     with pytest.raises(ValueError) as err:
@@ -305,15 +319,14 @@ def test_half_ball_tangent_vs_transversal(metrics):
 
 def test_half_ball_circle_top():
     circle = circle_curve()
-    top = max((circle(p) for p in (0.25, 0.75)),
-              key=lambda q: float(q.coords[1]))
+    top = max((curve_point(circle, p) for p in (0.25, 0.75)), key=lambda q: q[1])
     assert half_ball_test(top, (0.0, 1.0), circle) is True
 
 
 def test_certificate_at_the_full_dim_cell(metrics):
     d = metrics["unit"]
     sample = sample_curve(HW, 1001)
-    cert = dimension_certificate(tuple(sample.points[500]), sample, d)
+    cert = dimension_certificate(sample_point(sample, 500), sample, d)
     assert isinstance(cert, DimensionCertificate)
     assert bool(cert)
     assert cert.epsilon > 0
@@ -327,16 +340,16 @@ def test_certificate_near_a_sample_certifies_the_sample(metrics):
     # is the sample's own, not one made around the caller's point
     d = metrics["unit"]
     sample = sample_curve(HW, 1001)
-    t1, t2, t3 = (float(c) for c in sample.points[500])
+    t1, t2, t3 = sample_point(sample, 500)
     near = dimension_certificate((t1 + 4e-10, t2, t3 - 4e-10), sample, d)
-    assert near == dimension_certificate(tuple(sample.points[500]), sample, d)
+    assert near == dimension_certificate(sample_point(sample, 500), sample, d)
     assert near.x.coords == (Fraction(t1), Fraction(t2), 1 - Fraction(t1) - Fraction(t2))
 
 
 def test_certificate_not_found_off_tangency(metrics):
     d = metrics["unit"]
     sample = sample_curve(HW, 1001)
-    nf = dimension_certificate(tuple(sample.points[300]), sample, d)
+    nf = dimension_certificate(sample_point(sample, 300), sample, d)
     assert isinstance(nf, NotFound)
     assert not nf
     assert nf.trials > 0
@@ -376,7 +389,7 @@ def test_exact_confirmation_decides_the_certificate(monkeypatch):
     # with a float filter that passes every trial, the exact check alone
     # must reject all 48 witnesses: each sees another sample within eps
     sample = sample_curve(HW, 1001)
-    x = sample.points[70]                  # parameter 0.07
+    x = sample_point(sample, 70)                # parameter 0.07
     log = _log_trials(monkeypatch)
     assert dimension_certificate(x, sample, random_metric(3, 0)) == NotFound(48)
     assert _trials_checked(log) == (48, 48)
@@ -387,7 +400,7 @@ def test_witness_on_a_vertex_direction_is_rejected(monkeypatch, metrics):
     # facets attain eps and x is not in the relative interior of one facet:
     # every trial must be rejected, though the sample check alone accepts it
     sample = sample_curve(HW, 1001)
-    x = sample.points[500]                 # (1/4, 1/2, 1/4)
+    x = sample_point(sample, 500)               # (1/4, 1/2, 1/4)
     log = _log_trials(monkeypatch)
     h = 2.0 ** -6
     monkeypatch.setattr(voronoi, "plot_to_point", lambda *args: (0.25 - h, 0.5 + h, 0.25))
@@ -410,7 +423,7 @@ def _certificate_outcomes():
                  for p in count_full_dim_cells_hw(d).parameters]
         cases += [(hw, 70), (hw, 300)] + [(circle, k) for k in (0, 75, 150)]
         for s, k in cases:
-            cert = dimension_certificate(tuple(s.points[k]), s, d)
+            cert = dimension_certificate(sample_point(s, k), s, d)
             if cert:
                 out = f"{cert.x.coords} {cert.witness_y.coords} {cert.epsilon}"
             else:
@@ -436,7 +449,7 @@ def _gate_outcomes():
                  for p in count_full_dim_cells_hw(d).parameters]
         cases += [(hw, 300)] + [(circle, k) for k in (0, 150)]
         for s, k in cases:
-            yield dimension_certificate(tuple(s.points[k]), s, d)
+            yield dimension_certificate(sample_point(s, k), s, d)
 
 
 def test_float_filter_changes_no_certificate(monkeypatch):
@@ -460,7 +473,7 @@ def test_float_gauge_is_within_half_the_band():
     for curve in (HW, circle_curve(0.2), circle_curve(0.7), circle_curve(5)):
         s = sample_curve(curve, 201)
         top = max(np.max(np.abs(s.u1)), np.max(np.abs(s.u2)))
-        xs, ys = plot_xy(s.points.T)
+        xs, ys = plot_xy((s.u1, s.u2))
         dist = np.empty(s.count)
         for seed in range(6):
             exact, a0, a1 = _facet_data(random_metric(3, seed))
