@@ -38,13 +38,48 @@ pixel are grouped, SEG at a time, into segments.  A segment is bounded
 against all K samples.  Its tiles are then bounded only against the
 segment's kept samples: those hold the nearest and every sample within
 m2(t) of each of the segment's pixels, so the argument above, run on the
-candidates, keeps them again (about 7 % of the samples per tile at 512^2
-with 1001 samples).  Each tile runs the unchanged ``gauge`` and
-``_nearest`` on its kept columns only.  Both are elementwise, so the kept
-columns carry the bits of the full row: same nearest sample, same
-first-index tie-breaking, same TIE marks.  The labels are those of every
-pixel x sample pair under the gauge over all m facets
-(``tests/oracles.py: brute_classify_grid``).
+candidates, keeps them again, and the dominance cut below drops more.  At
+512^2 with 1001 samples a tile keeps 59-76 samples (6-8 %) on the
+Hardy-Weinberg curve and the circle under the worked metrics d1-d3, 33-35
+under the path metric.  Each tile runs the unchanged ``gauge`` and
+``_nearest`` on its kept columns only, in blocks of whole pixel rows of at
+most BLOCK pixel x sample pairs (one row when a row alone holds more).
+Both are elementwise, and the difference s2 - t2, constant along a pixel
+row, enters ``gauge`` as one (rows, 1, k) row per block, so its products
+are formed once per row and broadcast: the kept columns carry the bits of
+the full row, the same nearest sample, the same first-index tie-breaking
+and the same TIE marks.  The labels are those of every pixel x sample pair
+under the gauge over all m facets (``tests/oracles.py:
+brute_classify_grid``).
+
+Dominance.  Within one tile write, for sample k and table row f,
+x_f = P[f,k] - hi_f, y_f = lo_f - P[f,k] and ub_f = -min(x_f, y_f), so
+that |a_f.(s_k - t)| <= ub_f at every inside pixel t; margin = tie_tol +
+slack as above.  Sample j is pure in (f, +) when
+x_f >= max_{g != f} ub_g + margin, and in (f, -) when y_f >= that bar.
+Then dist_j(t) = sigma (P[f,j] - a_f.t) at every inside pixel, sigma = +1
+or -1, while every sample k has dist_k(t) >= sigma (P[f,k] - a_f.t).
+With V the second-smallest sigma P[f,j] over the samples pure in
+(f, sigma), a sample k with sigma P[f,k] > V + margin is farther than two
+samples at every inside pixel: neither the nearest nor within m2(t), so
+the tile drops it.  Every sample within m2(t) thus survives the cut, as it
+survives the LB test, and the tile keeps the samples that pass both.  On
+8-pixel tiles or on segments the cut cost more than it saved.
+
+In floats, in the notation of "Slack" and to first order in u: x, y and
+ub are at most A (S + 1) in size and within 3u A (S + 1) of their exact
+values (P 2u A S, lo and hi 2u A, the subtraction u A (S + 1)).  A purity
+test passed in floats, its sum rounded, leaves the exact
+x_f - ub_g >= margin (1 - u) - 7u A (S + 1) > 0 for every g != f (one
+exists: m/2 >= 2).  So exactly sigma a_f.(s_j - t) > ub_g >=
+|a_g.(s_j - t)|, and it is positive, as ub_g >= (hi_g - lo_g) / 2 >= 0,
+so it beats its antipode too: it is the exact gauge of j.  The exact gauge
+of k exceeds it by at least sigma a_f.(s_k - s_j), which the rounded cut
+keeps above margin (1 - u) - 5u A S when sigma P[f,j] <= V.  The two float
+gauges add 6u A (S + 1), so the float gauge of k exceeds both pure
+samples' by more than margin (1 - u) - 11u A (S + 1) >= tie_tol (1 - 2u) +
+20u A (S + 1) > 0: strictly farther at every inside pixel, and by more
+than tie_tol while tie_tol < 10 A (S + 1).
 
 Slack.  The bound and the gauge are different float expressions, so the
 slack covers the rounding of both.  Let u = eps/2, A = max_f (|a0[f]| +
@@ -62,9 +97,15 @@ because they may leave the simplex (a circle of large radius does).
 Memory.  Bounds are computed one band at a time, in three float arrays and
 a partition copy of one shape: (segments, K) for the band's segments,
 then (tiles, candidates) for one segment's tiles, after the segment
-arrays are dropped.  Each tile classifies all of its TILE^2 pixels against
-its kept samples and writes the inside ones, so the label array is the
-only grid-sized allocation.
+arrays are dropped.  The dominance cut holds three float arrays of
+(m/2, tiles, candidates) and a few of (tiles, candidates).  Each block of a
+tile takes three float arrays of its pixel x sample pairs (difference,
+distance, ``gauge``'s product buffer), at most BLOCK of them or one pixel
+row; a tile classifies all of its TILE^2 pixels and writes the inside
+ones, so the label array is the only grid-sized allocation.  Whole
+16-pixel tiles raised the peak of a 512^2 raster by 0.75 MB; blocks of
+2^14 pairs (128 KiB a float array) hold it 0.6 MB under the 8-pixel
+kernel's, where 2^15 ran about 45 % slower at 128^2 (2 vCPU host).
 """
 
 import numpy as np
@@ -73,8 +114,9 @@ from polyvor._chart import HALF_SQRT3, plot_to_point
 
 OUTSIDE = -1
 TIE = -2
-TILE = 8          # tile edge in pixels
+TILE = 16         # tile edge in pixels
 SEG = 4           # tiles per segment of the two-level bound
+BLOCK = 2 ** 14   # most pixel x sample pairs per gauge call
 SLACK_ULPS = 16   # rounding slack of a gauge comparison, in eps * A * reach
 
 
@@ -151,14 +193,48 @@ def _kept(prows, lo, hi, margin):
     return lb <= cut[:, None]
 
 
+def _dominated(prows, lo, hi, margin):
+    """Mask of the columns the dominance cut drops (see the module docstring).
+
+    ``prows`` is the (m/2, cols) array P[f, cols]; lo[f] and hi[f] are
+    (regions, 1) extremes of a_f.t.  A region drops the columns farther
+    than two columns pure on one signed facet by more than ``margin``.
+    """
+    x = prows[:, None, :] - hi              # (m/2, regions, cols)
+    y = lo - prows[:, None, :]
+    ub = -np.minimum(x, y)
+    drop = np.zeros(x.shape[1:], dtype=bool)
+    if x.shape[2] < 2:
+        return drop
+    for f, p in enumerate(prows):
+        bar = np.delete(ub, f, axis=0).max(axis=0) + margin
+        for w, sp in ((x[f], p), (y[f], -p)):
+            # V: the second-smallest sigma P over the pure columns
+            v = np.partition(np.where(w >= bar, sp, np.inf), 1, axis=1)[:, 1:2]
+            drop |= sp > v + margin
+    return drop
+
+
+def _block_labels(a0, a1, s1, s2, t1, t2, tie_tol):
+    """``_nearest`` labels of a block of pixel rows against the columns (s1, s2).
+
+    t1 is (rows, TILE) and t2 (rows, 1); the block's arrays are freed on
+    return, before the next block allocates its own.
+    """
+    d1 = s1 - t1[..., None]
+    dist = gauge(a0, a1, d1, (s2 - t2)[:, None, :], np.empty_like(d1))
+    return _nearest(dist.reshape(-1, len(s1)), tie_tol)[0]
+
+
 def classify_grid(res, a0, a1, s1, s2, tie_tol):
     """Label a res x res grid of pixel centers by nearest sample (s1, s2).
 
     Pixel centers live on the plotting-chart box [0,1] x [0,sqrt(3)/2],
     row iy = 0 at the bottom; pixels outside the simplex are OUTSIDE.
     Each TILE x TILE tile evaluates only the samples kept by its segment's
-    bounds and then by its own (see the module docstring), so the labels
-    are those of all pixel x sample pairs at a fraction of the work.
+    bounds, then by its own and by the dominance cut (see the module
+    docstring), so the labels are those of all pixel x sample pairs at a
+    fraction of the work.
     """
     labels = np.full((res, res), OUTSIDE, dtype=np.int64)
     ntiles = -(-res // TILE)
@@ -172,36 +248,39 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
         y = (np.arange(y0, y0 + TILE) + 0.5)[:, None] * dy
         t1, t2, t3 = plot_to_point(px, y)
         inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2 >= 0.0)
+        del t3
         tiles = np.flatnonzero(inside.reshape(TILE, ntiles, TILE).any(axis=(0, 2)))
         if len(tiles) == 0:
             continue
         # min and max of a_f . t over the inside pixel centers of each tile
         q = a0[:, None, None] * t1 + a1[:, None, None] * t2
-        lo = np.where(inside, q, np.inf).reshape(-1, TILE, ntiles, TILE)
-        hi = np.where(inside, q, -np.inf).reshape(-1, TILE, ntiles, TILE)
-        lo = lo.min(axis=(1, 3))[:, tiles]
-        hi = hi.max(axis=(1, 3))[:, tiles]
+        lo = np.where(inside, q, np.inf).reshape(-1, TILE, ntiles, TILE).min(axis=(1, 3))
+        hi = np.where(inside, q, -np.inf).reshape(-1, TILE, ntiles, TILE).max(axis=(1, 3))
+        lo, hi = lo[:, tiles], hi[:, tiles]
+        del q
         starts = np.arange(0, len(tiles), SEG)
         seg_keep = _kept(P, np.minimum.reduceat(lo, starts, axis=1)[..., None],
                          np.maximum.reduceat(hi, starts, axis=1)[..., None], margin)
         # every pixel of a tile is classified; only inside ones are kept
-        t2px = np.repeat(t2, TILE)[:, None]
         band = np.empty((TILE, ntiles * TILE), dtype=np.int64)
         for j, s0 in enumerate(starts):
             cols = np.flatnonzero(seg_keep[j])
             seg = slice(s0, s0 + SEG)
-            keep = _kept((p[cols] for p in P), lo[:, seg, None],
-                         hi[:, seg, None], margin)
+            pc = P[:, cols]
+            tlo, thi = lo[:, seg, None], hi[:, seg, None]
+            keep = _kept(pc, tlo, thi, margin)
+            keep &= ~_dominated(pc, tlo, thi, margin)
             for tile, kept in zip(tiles[seg], keep):
                 cand = cols[kept]
+                sc1, sc2 = s1[cand], s2[cand]
                 x0 = tile * TILE
-                dist = np.empty((TILE * TILE, len(cand)))
-                gauge(a0, a1, s1[cand] - t1[:, x0:x0 + TILE].reshape(-1, 1),
-                      s2[cand] - t2px, dist)
-                lab = _nearest(dist, tie_tol)[0]
-                pos = lab >= 0
-                lab[pos] = cand[lab[pos]]
-                band[:, x0:x0 + TILE] = lab.reshape(TILE, TILE)
+                step = max(1, min(TILE, BLOCK // (TILE * len(cand))))    # pixel rows per block
+                for r0 in range(0, TILE, step):
+                    r = slice(r0, r0 + step)
+                    lab = _block_labels(a0, a1, sc1, sc2, t1[r, x0:x0 + TILE], t2[r], tie_tol)
+                    pos = lab >= 0
+                    lab[pos] = cand[lab[pos]]
+                    band[r, x0:x0 + TILE] = lab.reshape(-1, TILE)
         rows = labels[y0:y0 + TILE]
         np.copyto(rows, band[:len(rows), :res], where=inside[:len(rows), :res])
     return labels

@@ -354,17 +354,20 @@ def test_non_finite_circle_radius_is_json_error(tmp_path, capsys, radius, shown)
     assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
 
 
-@pytest.mark.parametrize("radius", ["1e300", "1.5e308"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", ["1e300", "1.5e308", "1.7e308"])
 def test_huge_circle_radius_is_json_error(tmp_path, capsys, radius):
     # past 2^48 a float gauge no longer sees the simplex; at 1.5e308 the
-    # rounding band overflowed and the raster reported a 128 px cell
+    # rounding band overflowed and the raster reported a 128 px cell; at
+    # 1.7e308 the chart map overflows, and numpy's warning must not escape
     code = cli.main(["raster", "--metric", metric_file(tmp_path, UNIT), "--curve", "circle",
                      "--resolution", "8", "--samples", "11", "--circle-radius", radius])
     text = capsys.readouterr().out
     assert code == 1
     error = json.loads(text, parse_constant=pytest.fail)["error"]
     assert error["type"] == "ValueError"
-    assert re.fullmatch(r"curve sample extent \S+e\+30\d is not below 2\^48 - 1, "
+    extent = "inf" if radius == "1.7e308" else r"\S+e\+30\d"
+    assert re.fullmatch(rf"curve sample extent {extent} is not below 2\^48 - 1, "
                         r"where float gauges no longer resolve the simplex", error["message"])
 
 

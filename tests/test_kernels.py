@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_classify_grid, classify_points, facet_table, full_gauge
-from polyvor._kernels import OUTSIDE, TIE, classify_grid, gauge
+from polyvor._chart import HALF_SQRT3, plot_to_point
+from polyvor._kernels import OUTSIDE, SEG, TIE, TILE, _dominated, classify_grid, gauge, slack
 from polyvor.ball import unit_hull
 from polyvor.voronoi import _facet_data, _facet_values
 from polyvor import circle_curve, hardy_weinberg_curve, random_metric, sample_curve
@@ -181,6 +182,48 @@ def sample_points(draw):
        tie_tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.05]))
 def test_tiled_kernel_matches_brute_force_property(seed, points, res, tie_tol):
     assert _matches_brute_force(random_metric(3, seed), res, *points, tie_tol)
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 0.05])
+def test_dominance_cut_drops_only_columns_past_the_second_nearest(tie_tol):
+    # the lemma of the kernel's "Dominance": at every inside pixel of its
+    # tile, a column the cut drops has a float gauge above the second-smallest
+    # gauge of all columns by more than the tie tolerance
+    rng = np.random.default_rng(22)
+    cut_rows = set()
+    for seed in range(40):
+        _, a0, a1 = _facet_data(random_metric(3, seed))   # m/2 = 2 on tight metrics
+        inner = rng.random((60, 2))
+        inner = np.where(inner.sum(axis=1, keepdims=True) > 1.0, 1.0 - inner, inner)
+        pts = np.concatenate([inner, rng.uniform(-50.0, 50.0, (20, 2))])
+        offsets = rng.choice([0.0, 1e-15, 1e-12, 1e-9], (20, 1))
+        copies = pts[rng.integers(0, len(pts), 20)] + offsets
+        s1, s2 = np.concatenate([pts, copies]).T
+        margin = tie_tol + slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
+        # up to SEG tiles of one band in the lower half of the grid, whose
+        # pixel centers and extremes are computed as classify_grid does
+        res = int(rng.integers(2 * TILE, 600))
+        y0 = TILE * int(rng.integers(0, res // (2 * TILE)))
+        px = (np.arange(-(-res // TILE) * TILE) + 0.5) * (1.0 / res)
+        y = (np.arange(y0, y0 + TILE) + 0.5)[:, None] * (HALF_SQRT3 / res)
+        t1, t2, t3 = plot_to_point(px, y)
+        t2 = np.broadcast_to(t2, t1.shape)
+        inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2 >= 0.0)
+        tiles = np.flatnonzero(inside.reshape(TILE, -1, TILE).any(axis=(0, 2)))
+        tiles = rng.permutation(tiles)[:SEG]
+        pix = [(slice(None), slice(x0, x0 + TILE)) for x0 in tiles * TILE]
+        q = a0[:, None, None] * t1 + a1[:, None, None] * t2
+        lo = np.array([[np.min(qf[p][inside[p]]) for p in pix] for qf in q])[..., None]
+        hi = np.array([[np.max(qf[p][inside[p]]) for p in pix] for qf in q])[..., None]
+        drop = _dominated(a0[:, None] * s1 + a1[:, None] * s2, lo, hi, margin)
+        for p, dropped in zip(pix, drop):
+            d1, d2 = s1 - t1[p][inside[p]][:, None], s2 - t2[p][inside[p]][:, None]
+            dist = gauge(a0, a1, d1, d2, np.empty(d1.shape))
+            second = np.partition(dist, 1, axis=1)[:, 1:2]
+            assert np.all(dist[:, dropped] - second > tie_tol)
+            if dropped.any():
+                cut_rows.add(len(a0))
+    assert cut_rows == {2, 3}
 
 
 def test_numpy_path_alone_is_deterministic(metrics):

@@ -137,6 +137,20 @@ def test_closed_sample_drops_its_repeated_endpoint():
     assert int((raster.labels == TIE).sum()) == 0
 
 
+def test_seam_gap_is_bounded_by_the_sample_spacing():
+    # 1e-12 of the coordinates' size is about 141 at u1 = -2^47, but these
+    # points are 0.5 apart, the samples' own spacing: no rounding gap
+    def far(p):
+        return p * 0 - 2.0 ** 47, p
+
+    assert CurveSample.at_params(far, [0.25, 0.75]).count == 2
+    assert CurveSample.at_params(far, [0.25, 0.5, 0.75]).count == 3
+    # 200001 samples of radius 5000 are 0.16 apart, the seam 1.7e-12
+    for radius in (0.2, 0.7, 5, 5000):
+        for n in (3, 1001, 200001):
+            assert sample_curve(circle_curve(radius), n).count == n - 1
+
+
 def test_closed_curve_refuses_a_count_that_leaves_one_sample():
     # p = 0 and p = 1 are the seam point, so 2 samples of a circle are one
     with pytest.raises(ValueError, match="are one point: need at least 3"):
@@ -225,13 +239,14 @@ def test_raster_refuses_tile_bounds_over_the_memory_budget(metrics):
 
 
 def test_raster_refuses_tile_distances_over_the_memory_budget(metrics, monkeypatch):
-    # 4 MiB of physical memory gives a 1 MiB budget: R = 8 with 1001
+    # 2 MiB of physical memory gives a 512 KiB budget: R = 8 with 1001
     # samples needs 32544 B of labels and tile bounds, but the one tile
-    # keeps every sample in five (64, 1001) float arrays, 2.56 MB more
+    # keeps every sample, in blocks of up to 2^14 pixel x sample pairs at
+    # 40 B per pair: 640 KiB more
     sample = sample_curve(HW, 1001)
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
     monkeypatch.setattr(voronoi.os, "sysconf", pages.__getitem__)
-    size = 512 + 32 * 1001 + 40 * 64 * 1001
+    size = 512 + 32 * 1001 + 40 * 2 ** 14
     message = (f"resolution 8 with 1001 samples needs {size} B of labels, tile bounds "
                "and tile distances, over a quarter of physical memory")
     with pytest.raises(ValueError) as err:
