@@ -98,14 +98,20 @@ Memory.  Bounds are computed one band at a time, in three float arrays and
 a partition copy of one shape: (segments, K) for the band's segments,
 then (tiles, candidates) for one segment's tiles, after the segment
 arrays are dropped.  The dominance cut holds three float arrays of
-(m/2, tiles, candidates) and a few of (tiles, candidates).  Each block of a
-tile takes three float arrays of its pixel x sample pairs (difference,
-distance, ``gauge``'s product buffer), at most BLOCK of them or one pixel
-row; a tile classifies all of its TILE^2 pixels and writes the inside
-ones, so the label array is the only grid-sized allocation.  Whole
-16-pixel tiles raised the peak of a 512^2 raster by 0.75 MB; blocks of
-2^14 pairs (128 KiB a float array) hold it 0.6 MB under the 8-pixel
-kernel's, where 2^15 ran about 45 % slower at 128^2 (2 vCPU host).
+(m/2, tiles, candidates) and a few of (tiles, candidates).  A block of a
+tile holds at most BLOCK pixel x sample pairs or one pixel row; its
+differences and distances are written into the two rows of one work
+array of max(BLOCK, TILE K) floats, made once per call, and ``gauge``'s
+product buffer is the one float array a block allocates.  A tile
+classifies all of its TILE^2 pixels and writes the inside ones, so the
+label array is the only grid-sized allocation.  At 2^15 pairs a 512^2
+tile keeping up to 128 samples is one ``gauge`` call, where 2^14 split
+tiles of 65-128 samples in two.  Fresh block arrays of 2^15 pairs (over
+128 KiB each, glibc's default mmap threshold) were mapped and unmapped
+per block: 12244 minor page faults per 128^2 raster against 160 at 2^14,
+and about 50 % slower there; the work array leaves 26.  Three 512^2
+rasters in a fresh process peak 3.5 MB over the imports, 0.4 MB above
+blocks of 2^14 (2 vCPU host).
 """
 
 import numpy as np
@@ -116,7 +122,7 @@ OUTSIDE = -1
 TIE = -2
 TILE = 16         # tile edge in pixels
 SEG = 4           # tiles per segment of the two-level bound
-BLOCK = 2 ** 14   # most pixel x sample pairs per gauge call
+BLOCK = 2 ** 15   # most pixel x sample pairs per gauge call
 SLACK_ULPS = 16   # rounding slack of a gauge comparison, in eps * A * reach
 
 
@@ -215,14 +221,16 @@ def _dominated(prows, lo, hi, margin):
     return drop
 
 
-def _block_labels(a0, a1, s1, s2, t1, t2, tie_tol):
+def _block_labels(a0, a1, s1, s2, t1, t2, tie_tol, work):
     """``_nearest`` labels of a block of pixel rows against the columns (s1, s2).
 
-    t1 is (rows, TILE) and t2 (rows, 1); the block's arrays are freed on
-    return, before the next block allocates its own.
+    t1 is (rows, TILE) and t2 (rows, 1); the differences and distances are
+    written into the two rows of ``work``.
     """
-    d1 = s1 - t1[..., None]
-    dist = gauge(a0, a1, d1, (s2 - t2)[:, None, :], np.empty_like(d1))
+    shape = t1.shape + s1.shape
+    n = t1.size * len(s1)
+    d1 = np.subtract(s1, t1[..., None], out=work[0, :n].reshape(shape))
+    dist = gauge(a0, a1, d1, (s2 - t2)[:, None, :], work[1, :n].reshape(shape))
     return _nearest(dist.reshape(-1, len(s1)), tie_tol)[0]
 
 
@@ -244,6 +252,7 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
     dy = HALF_SQRT3 / res
     P = a0[:, None] * s1 + a1[:, None] * s2          # (m/2, K): a_f . s_k
     margin = tie_tol + slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
+    work = np.empty((2, max(BLOCK, TILE * len(s1))))
     for y0 in range(0, res, TILE):
         y = (np.arange(y0, y0 + TILE) + 0.5)[:, None] * dy
         t1, t2, t3 = plot_to_point(px, y)
@@ -277,7 +286,8 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
                 step = max(1, min(TILE, BLOCK // (TILE * len(cand))))    # pixel rows per block
                 for r0 in range(0, TILE, step):
                     r = slice(r0, r0 + step)
-                    lab = _block_labels(a0, a1, sc1, sc2, t1[r, x0:x0 + TILE], t2[r], tie_tol)
+                    lab = _block_labels(a0, a1, sc1, sc2, t1[r, x0:x0 + TILE], t2[r], tie_tol,
+                                        work)
                     pos = lab >= 0
                     lab[pos] = cand[lab[pos]]
                     band[r, x0:x0 + TILE] = lab.reshape(-1, TILE)

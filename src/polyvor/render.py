@@ -17,15 +17,17 @@ PALETTE = [
 
 def raster_ppm(raster, path):
     """Write the raster as a binary P6 PPM (white outside, black ties)."""
-    lab = raster.labels
-    pal = np.array(PALETTE, dtype=np.uint8)
-    img = pal[np.where(lab >= 0, lab % len(pal), 0)]
-    img[lab == OUTSIDE] = (255, 255, 255)
-    img[lab == TIE] = (0, 0, 0)
+    # one color row per label + 2: TIE (-2), OUTSIDE (-1), then each sample
+    # label's palette color; np.resize repeats the palette cyclically
+    lut = np.empty((raster.sample.count + 2, 3), dtype=np.uint8)
+    lut[TIE + 2] = (0, 0, 0)
+    lut[OUTSIDE + 2] = (255, 255, 255)
+    lut[2:] = np.resize(np.array(PALETTE, dtype=np.uint8), (raster.sample.count, 3))
+    img = lut[raster.labels[::-1] + 2]    # row 0 is the bottom of the chart
     res = raster.resolution
     with open(path, "wb") as fh:
         fh.write(f"P6\n{res} {res}\n255\n".encode("ascii"))
-        fh.write(img[::-1].tobytes())  # row 0 is the bottom of the chart
+        fh.write(img.tobytes())
 
 
 SVG_SIZE = 640        # image width in px

@@ -80,6 +80,7 @@ class CurveSample:
     Raster labels and certificates name a sample by its index in ``params``.
     The params must name distinct points, except that a closed curve's last
     point may repeat its first: that last sample is dropped (the seam).
+    Two consecutive samples at one point are refused (ValueError).
     """
 
     params: np.ndarray     # (k,) float parameters
@@ -111,6 +112,12 @@ class CurveSample:
             if gap <= 1e-12 or (gap <= 1e-12 * top and
                                 gap <= 1e-6 * np.max(np.hypot(np.diff(u1), np.diff(u2)))):
                 params, u1, u2 = params[:-1], u1[:-1], u2[:-1]
+        # a repeated point would tie its two labels everywhere in its cell
+        same = (u1[1:] == u1[:-1]) & (u2[1:] == u2[:-1])
+        if same.any():
+            i = int(np.argmax(same))
+            raise ValueError(f"samples {i} and {i + 1} (params {float(params[i])!r} and "
+                             f"{float(params[i + 1])!r}) are one point")
         for arr in (params, u1, u2):
             arr.setflags(write=False)
         return cls(params, u1, u2)
@@ -205,8 +212,8 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     max(BLOCK, TILE * K) pixel x sample pairs, and at small R a tile keeps
     nearly every sample: 40 B per pair of such a block is budgeted for the
     tile stage (the dominance cut, then the blocks).  With every sample
-    kept, tracemalloc read peaks over the labels of 483-619 B per sample
-    (1001 to 16001 samples, R = 8 to 200) against 672-783 B budgeted.
+    kept, tracemalloc read peaks over the labels of 483-1120 B per sample
+    (1001 to 16001 samples, R = 8 to 200) against 672-1437 B budgeted.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")

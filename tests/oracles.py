@@ -31,6 +31,10 @@ shares as little code with it as possible:
   rows as they are, no symmetry assumed;
 * ``brute_classify_grid`` -- raster labels from every pixel x sample pair
   under ``full_gauge``, the row kernel the pruned ``classify_grid`` must
+  reproduce;
+* ``palette_ppm_pixels`` -- the PPM pixel bytes of a label array by the
+  palette formula (label modulo the palette, then the OUTSIDE and TIE
+  colors written over it), which ``render.raster_ppm``'s color table must
   reproduce.
 
 Three helpers at the end are not independent: ``exact_gauge`` and
@@ -55,8 +59,9 @@ from functools import lru_cache
 import numpy as np
 
 from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, plot_xy
-from polyvor._kernels import OUTSIDE, _nearest, gauge
+from polyvor._kernels import OUTSIDE, TIE, _nearest, gauge
 from polyvor.ball import unit_hull
+from polyvor.render import PALETTE
 from polyvor.transport import DimensionMismatch, Infeasible, _network_simplex, as_affine_point
 from polyvor.voronoi import DEFAULT_TIE_TOL, _facet_data, _facet_values
 
@@ -598,6 +603,19 @@ def brute_classify_grid(res, a0, a1, s1, s2, tie_tol):
         full_gauge(a0, a1, d1[:n], s2 - t2, dist[:n])
         labels[iy, inside] = _nearest(dist[:n], tie_tol)[0]
     return labels
+
+
+def palette_ppm_pixels(labels) -> bytes:
+    """The P6 pixel bytes of ``labels``: palette colors, white OUTSIDE, black TIE.
+
+    Row 0 of ``labels`` is the bottom of the chart and the last row of the
+    image.
+    """
+    pal = np.array(PALETTE, dtype=np.uint8)
+    img = pal[np.where(labels >= 0, labels % len(pal), 0)]
+    img[labels == OUTSIDE] = (255, 255, 255)
+    img[labels == TIE] = (0, 0, 0)
+    return img[::-1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,17 @@ def test_non_finite_circle_radius_is_json_error(tmp_path, capsys, radius, shown)
     assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
 
 
+def test_circle_of_repeated_samples_is_json_error(tmp_path, capsys):
+    # below about 1e-14 consecutive samples round to one chart point, and
+    # the raster printed every inside pixel as TIE with exit 0
+    code = cli.main(["raster", "--metric", metric_file(tmp_path, UNIT), "--curve", "circle",
+                     "--resolution", "64", "--circle-radius", "1e-17"])
+    text = capsys.readouterr().out
+    assert code == 1
+    message = "samples 0 and 1 (params 0.0 and 0.001) are one point"
+    assert text == json.dumps({"error": {"type": "ValueError", "message": message}}) + "\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("radius", ["1e300", "1.5e308", "1.7e308"])
 def test_huge_circle_radius_is_json_error(tmp_path, capsys, radius):

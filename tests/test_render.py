@@ -4,9 +4,12 @@ import hashlib
 
 import numpy as np
 
-from polyvor import build_ball, hardy_weinberg_curve, raster_voronoi, sample_curve
+from polyvor import build_ball, circle_curve, hardy_weinberg_curve, raster_voronoi, sample_curve
+from polyvor._kernels import OUTSIDE, TIE
 from polyvor.render import ball_svg, overlay_svg, raster_ppm
 from fractions import Fraction
+
+from oracles import palette_ppm_pixels
 
 
 def small_raster(metrics):
@@ -43,6 +46,23 @@ def test_ppm_same_label_same_color(tmp_path, metrics):
     some = next(l for l in np.unique(labels) if l >= 0)
     colors = img[labels == some]
     assert (colors == colors[0]).all()
+
+
+def test_ppm_bytes_equal_the_palette_formula(tmp_path, metrics):
+    # the first raster holds TIE (black) and OUTSIDE (white) pixels and
+    # labels past the 12-color palette; at 0.05 every inside pixel is TIE
+    hw = sample_curve(hardy_weinberg_curve(), 201)
+    rasters = [raster_voronoi(hw, metrics["three_cell"], 64, tie_tolerance=1e-3),
+               raster_voronoi(hw, metrics["three_cell"], 64, tie_tolerance=0.05),
+               raster_voronoi(sample_curve(circle_curve(0.7), 1001), metrics["unit"], 96)]
+    labels = rasters[0].labels
+    assert (labels == TIE).any() and (labels == OUTSIDE).any() and labels.max() >= 12
+    for i, raster in enumerate(rasters):
+        path = tmp_path / f"r{i}.ppm"
+        raster_ppm(raster, path)
+        res = raster.resolution
+        header = f"P6\n{res} {res}\n255\n".encode("ascii")
+        assert path.read_bytes() == header + palette_ppm_pixels(raster.labels)
 
 
 def test_ball_svg_contents(tmp_path, metrics):

@@ -159,6 +159,24 @@ def test_closed_curve_refuses_a_count_that_leaves_one_sample():
     assert list(s.params) == [0.0, 0.5]
 
 
+def test_consecutive_samples_at_one_point_are_refused():
+    # at radius 1e-15 the circle's chart coordinates move in steps below
+    # their last bit: 1000 samples hold 117 distinct points, and every cell
+    # of a repeated point was TIE at every pixel
+    for radius, first in ((1e-14, 90), (1e-15, 0), (1e-17, 0), (1e-320, 0)):
+        message = rf"samples {first} and {first + 1} \(params \S+ and \S+\) are one point"
+        with pytest.raises(ValueError, match=message):
+            sample_curve(circle_curve(radius), 1001)
+    with pytest.raises(ValueError, match=r"samples 1 and 2 \(params 0.5 and 0.75\) are one point"):
+        CurveSample.at_params(lambda p: (np.minimum(p, 0.5), p * 0), [0.25, 0.5, 0.75])
+    # a seam is dropped first; a repeat elsewhere is not a seam
+    assert CurveSample.at_params(lambda p: (np.minimum(p, 0.5) % 0.5, p * 0),
+                                 [0.0, 0.25, 0.5]).count == 2
+    # the sample-array pins' curves keep every sample
+    assert sample_curve(circle_curve(1e-12), 1001).count == 1000
+    assert sample_curve(HW, 200001).count == 200001
+
+
 def test_samples_off_the_plane_are_refused():
     # the kernels and certificates read two chart arrays, the rational chart
     # of the simplex; the chart of the 3-simplex has three, the segment's one
@@ -241,12 +259,12 @@ def test_raster_refuses_tile_bounds_over_the_memory_budget(metrics):
 def test_raster_refuses_tile_distances_over_the_memory_budget(metrics, monkeypatch):
     # 2 MiB of physical memory gives a 512 KiB budget: R = 8 with 1001
     # samples needs 32544 B of labels and tile bounds, but the one tile
-    # keeps every sample, in blocks of up to 2^14 pixel x sample pairs at
-    # 40 B per pair: 640 KiB more
+    # keeps every sample, in blocks of up to 2^15 pixel x sample pairs at
+    # 40 B per pair: 1280 KiB more
     sample = sample_curve(HW, 1001)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
     monkeypatch.setattr(voronoi.os, "sysconf", pages.__getitem__)
-    size = 512 + 32 * 1001 + 40 * 2 ** 14
+    size = 512 + 32 * 1001 + 40 * 2 ** 15
     message = (f"resolution 8 with 1001 samples needs {size} B of labels, tile bounds "
                "and tile distances, over a quarter of physical memory")
     with pytest.raises(ValueError) as err:
