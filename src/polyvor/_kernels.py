@@ -24,24 +24,33 @@ at every inside pixel of R, f running over all m facets.  The facet -a_f
 of a table row a_f has P = -P[f,k], lo = -hi_f and hi = -lo_f, so with
 x = P[f,k] - hi_f and y = lo_f - P[f,k] over the m/2 rows,
 LB_k = max (max(x, y)) and UB_k = -min (min(x, y)).  A label depends only
-on the nearest sample (the first one on equal distances) and on the
-second-smallest distance m2(t): TIE when m2(t) - best < tie_tol.  The two
-samples of least UB are both within UB2, the second-smallest UB, so
-m2(t) <= UB2, and every sample with dist_k(t) <= m2(t) has LB_k <= UB2.
-So R may keep, in index order, only the samples with
-``LB_k <= UB2 + tie_tol + slack``: the nearest sample, every sample within
-m2(t) and hence m2(t) itself are among them, at every inside pixel of R.
+on the nearest sample (the first one on equal distances) and on whether
+another sample lies within tie_tol of it: TIE when m2(t) - best < tie_tol,
+m2(t) the second-smallest distance, which is never needed beyond
+best + tie_tol.  The sample of least UB, UB1, is within UB1, so
+best(t) <= UB1, and every sample with dist_k(t) < best(t) + tie_tol has
+LB_k < UB1 + tie_tol.  So R may keep, in index order, only the samples
+with ``LB_k <= UB1 + tie_tol + slack``: the nearest sample and every
+sample within tie_tol of it are among them, at every inside pixel of R,
+so the first minimum and the TIE test come out as over all samples.
 
 Segment, then tile.  ``classify_grid`` walks the grid in bands of TILE
 pixel rows, cut into TILE x TILE tiles; the tiles of a band with an inside
 pixel are grouped, SEG at a time, into segments.  A segment is bounded
 against all K samples.  Its tiles are then bounded only against the
 segment's kept samples: those hold the nearest and every sample within
-m2(t) of each of the segment's pixels, so the argument above, run on the
-candidates, keeps them again, and the dominance cut below drops more.  At
-512^2 with 1001 samples a tile keeps 59-76 samples (6-8 %) on the
-Hardy-Weinberg curve and the circle under the worked metrics d1-d3, 33-35
-under the path metric.  Each tile runs the unchanged ``gauge`` and
+tie_tol of it at each of the segment's pixels, and the least UB among
+them still bounds best(t), so the argument above, run on the candidates,
+keeps them again, and the dominance cut below drops more.  The tiles of
+several segments are bounded in one call: a band's segments are grouped
+into chunks of at least one segment whose padded (m/2, tiles, columns)
+table of P holds at most BLOCK / 2 entries.  Each tile's row holds its
+segment's kept columns in index order, padded to the chunk's widest
+segment, and a mask of the valid columns keeps the padding out of UB1,
+out of the pure columns below and out of the result.  At 512^2 with 1001
+samples a tile keeps 57-74 samples (6-7 %) on the Hardy-Weinberg curve
+under the worked metrics d1-d3 and on the circle under d1, 31 on the
+circle under the path metric.  Each tile runs the unchanged ``gauge`` and
 ``_nearest`` on its kept columns only, in blocks of whole pixel rows of at
 most BLOCK pixel x sample pairs (one row when a row alone holds more).
 Both are elementwise, and the difference s2 - t2, constant along a pixel
@@ -59,12 +68,12 @@ slack as above.  Sample j is pure in (f, +) when
 x_f >= max_{g != f} ub_g + margin, and in (f, -) when y_f >= that bar.
 Then dist_j(t) = sigma (P[f,j] - a_f.t) at every inside pixel, sigma = +1
 or -1, while every sample k has dist_k(t) >= sigma (P[f,k] - a_f.t).
-With V the second-smallest sigma P[f,j] over the samples pure in
-(f, sigma), a sample k with sigma P[f,k] > V + margin is farther than two
-samples at every inside pixel: neither the nearest nor within m2(t), so
-the tile drops it.  Every sample within m2(t) thus survives the cut, as it
-survives the LB test, and the tile keeps the samples that pass both.  On
-8-pixel tiles or on segments the cut cost more than it saved.
+With V the least sigma P[f,j] over the samples pure in (f, sigma), a
+sample k with sigma P[f,k] > V + margin is farther than that one pure
+sample by more than tie_tol at every inside pixel: neither the nearest
+nor within tie_tol of it, so the tile drops it.  The tile keeps the
+samples that pass both tests.  On 8-pixel tiles or on segments the cut
+cost more than it saved.
 
 In floats, in the notation of "Slack" and to first order in u: x, y and
 ub are at most A (S + 1) in size and within 3u A (S + 1) of their exact
@@ -75,11 +84,13 @@ exists: m/2 >= 2).  So exactly sigma a_f.(s_j - t) > ub_g >=
 |a_g.(s_j - t)|, and it is positive, as ub_g >= (hi_g - lo_g) / 2 >= 0,
 so it beats its antipode too: it is the exact gauge of j.  The exact gauge
 of k exceeds it by at least sigma a_f.(s_k - s_j), which the rounded cut
-keeps above margin (1 - u) - 5u A S when sigma P[f,j] <= V.  The two float
-gauges add 6u A (S + 1), so the float gauge of k exceeds both pure
-samples' by more than margin (1 - u) - 11u A (S + 1) >= tie_tol (1 - 2u) +
-20u A (S + 1) > 0: strictly farther at every inside pixel, and by more
-than tie_tol while tie_tol < 10 A (S + 1).
+keeps above margin (1 - u) - 5u A S for the j with sigma P[f,j] = V.  The
+two float gauges add 6u A (S + 1), so the float gauge of k exceeds j's,
+and so the least float gauge, by more than margin (1 - u) -
+11u A (S + 1) >= tie_tol (1 - 2u) + 20u A (S + 1) > 0 while
+tie_tol < 10 A (S + 1).  From there on neither test cuts anything:
+|sigma P[f,k] - V| <= 2 A S and LB_k - UB1 <= A (S + 1) are both below
+the margin.
 
 Slack.  The bound and the gauge are different float expressions, so the
 slack covers the rounding of both.  Let u = eps/2, A = max_f (|a0[f]| +
@@ -94,12 +105,16 @@ A segment's lo and hi are the min and max of the same float a_f.t as its
 tiles', so one slack serves both levels.  S is read from the samples
 because they may leave the simplex (a circle of large radius does).
 
-Memory.  Bounds are computed one band at a time, in three float arrays and
-a partition copy of one shape: (segments, K) for the band's segments,
-then (tiles, candidates) for one segment's tiles, after the segment
-arrays are dropped.  The dominance cut holds three float arrays of
-(m/2, tiles, candidates) and a few of (tiles, candidates).  A block of a
-tile holds at most BLOCK pixel x sample pairs or one pixel row; its
+Memory.  Bounds are computed one band at a time.  The band's pixel
+centers and facet values take up to 66 B per pixel of its TILE rows at
+m/2 = 3 (``raster_voronoi`` charges 72 B), and the segment bounds three
+float arrays of (segments, K).  A chunk's tile bounds are two float
+arrays of (m/2, tiles, columns) and a few of (tiles, columns); their cap
+of BLOCK / 2 entries keeps them, with the work array below, inside the
+40 B per pair that ``raster_voronoi`` charges the tile stage (at BLOCK
+entries, 512^2 rasters of 1001 samples peaked 1.64-1.68 MB over the
+labels against 1.57 MB charged, and ran no faster).  A block of a tile
+holds at most BLOCK pixel x sample pairs or one pixel row; its
 differences and distances are written into the two rows of one work
 array of max(BLOCK, TILE K) floats, made once per call, and ``gauge``'s
 product buffer is the one float array a block allocates.  A tile
@@ -109,10 +124,10 @@ tile keeping up to 128 samples is one ``gauge`` call, where 2^14 split
 tiles of 65-128 samples in two.  Fresh block arrays of 2^15 pairs (over
 128 KiB each, glibc's default mmap threshold) were mapped and unmapped
 per block: 12244 minor page faults per 128^2 raster against 160 at 2^14,
-and about 50 % slower there; the work array leaves 26.  Three 512^2
-rasters in a fresh process peak 3.5 MB over the imports, 0.4 MB above
-blocks of 2^14 (2 vCPU host).
+and about 50 % slower there; the work array leaves 26.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -162,7 +177,9 @@ def _nearest(dist, tie_tol):
 
     The label is the first column of minimal distance, or TIE when the
     second-smallest distance is within ``tie_tol`` of it.  Overwrites the
-    minimal entries of ``dist``.
+    minimal entries of ``dist``.  On the columns a tile keeps, ``second``
+    is the true second-smallest distance only when it is below
+    best + ``tie_tol``; the label is exact either way.
     """
     rows = np.arange(dist.shape[0])
     arg = np.argmin(dist, axis=1)
@@ -174,12 +191,13 @@ def _nearest(dist, tie_tol):
     return lab, best, second
 
 
-def _kept(prows, lo, hi, margin):
+def _kept(prows, lo, hi, margin, valid):
     """Mask of the samples each region keeps (see the module docstring).
 
     ``prows`` yields P[f, cols] for the table's rows, one at a time; lo[f]
-    and hi[f] are (regions, 1) extremes of a_f.t.  A region keeps the
-    columns with LB <= UB2 + margin.
+    and hi[f] are extremes of a_f.t per region, broadcast against them, and
+    ``valid`` marks the real columns.  A region keeps the valid columns
+    with LB <= UB1 + margin, UB1 the least UB of its valid columns.
     """
     for f, p in enumerate(prows):
         if f == 0:
@@ -194,31 +212,48 @@ def _kept(prows, lo, hi, margin):
         np.maximum(lb, term, out=lb)
         np.minimum(nub, term, out=nub)
     del term
-    k = max(nub.shape[1] - 2, 0)        # -UB2 is the second-largest -UB; a lone column's own
-    cut = margin - np.partition(nub, k, axis=1)[:, k]
-    return lb <= cut[:, None]
+    cut = margin - np.where(valid, nub, -np.inf).max(axis=-1, keepdims=True)
+    return (lb <= cut) & valid
 
 
-def _dominated(prows, lo, hi, margin):
+def _dominated(prows, lo, hi, margin, valid):
     """Mask of the columns the dominance cut drops (see the module docstring).
 
-    ``prows`` is the (m/2, cols) array P[f, cols]; lo[f] and hi[f] are
-    (regions, 1) extremes of a_f.t.  A region drops the columns farther
-    than two columns pure on one signed facet by more than ``margin``.
+    ``prows`` is the (m/2, regions, cols) array P[f, cols]; lo[f] and hi[f]
+    are (regions, 1) extremes of a_f.t, and ``valid`` marks the real
+    columns.  A region drops the columns farther than one valid column
+    pure on a signed facet by more than ``margin``.
     """
-    x = prows[:, None, :] - hi              # (m/2, regions, cols)
-    y = lo - prows[:, None, :]
-    ub = -np.minimum(x, y)
-    drop = np.zeros(x.shape[1:], dtype=bool)
-    if x.shape[2] < 2:
-        return drop
+    ub = np.subtract(hi, prows)                 # -min(x, y), a row at a time
+    for u, p, l in zip(ub, prows, lo):
+        np.maximum(u, p - l, out=u)
+    drop = np.zeros(ub.shape[1:], dtype=bool)
     for f, p in enumerate(prows):
-        bar = np.delete(ub, f, axis=0).max(axis=0) + margin
-        for w, sp in ((x[f], p), (y[f], -p)):
-            # V: the second-smallest sigma P over the pure columns
-            v = np.partition(np.where(w >= bar, sp, np.inf), 1, axis=1)[:, 1:2]
-            drop |= sp > v + margin
+        bar = reduce(np.maximum, [u for g, u in enumerate(ub) if g != f]) + margin
+        # V: the least sigma P over the valid columns pure in (f, sigma);
+        # for sigma = -1, -p > -W + margin is p < W - margin, W = -V
+        v = np.where((p - hi[f] >= bar) & valid, p, np.inf).min(axis=-1, keepdims=True)
+        drop |= p > v + margin
+        w = np.where((lo[f] - p >= bar) & valid, p, -np.inf).max(axis=-1, keepdims=True)
+        drop |= p < w - margin
     return drop
+
+
+def _chunks(counts, ntiles, rows):
+    """(first, end) ranges of a band's segments, by the kept ``counts`` of each.
+
+    A chunk holds at least one segment; its padded (``rows``, tiles,
+    columns) table, columns the chunk's largest count, at most BLOCK / 2
+    entries (see "Memory" above).
+    """
+    j0, width = 0, 0
+    for j, c in enumerate(counts):
+        tiles = min((j + 1) * SEG, ntiles) - j0 * SEG
+        if j > j0 and rows * tiles * max(width, c) > BLOCK // 2:
+            yield j0, j
+            j0, width = j, 0
+        width = max(width, c)
+    yield j0, len(counts)
 
 
 def _block_labels(a0, a1, s1, s2, t1, t2, tie_tol, work):
@@ -269,18 +304,25 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
         del q
         starts = np.arange(0, len(tiles), SEG)
         seg_keep = _kept(P, np.minimum.reduceat(lo, starts, axis=1)[..., None],
-                         np.maximum.reduceat(hi, starts, axis=1)[..., None], margin)
+                         np.maximum.reduceat(hi, starts, axis=1)[..., None], margin, True)
+        counts = seg_keep.sum(axis=1)
+        order = np.argsort(~seg_keep, axis=1, kind="stable")   # kept columns first, in order
+        del seg_keep
         # every pixel of a tile is classified; only inside ones are kept
         band = np.empty((TILE, ntiles * TILE), dtype=np.int64)
-        for j, s0 in enumerate(starts):
-            cols = np.flatnonzero(seg_keep[j])
-            seg = slice(s0, s0 + SEG)
+        for j0, j1 in _chunks(counts, len(tiles), len(P)):
+            chunk = slice(j0 * SEG, j1 * SEG)
+            seg = np.arange(len(tiles))[chunk] // SEG
+            width = counts[j0:j1].max()
+            cols = order[seg, :width]                  # each tile's segment columns, padded
+            valid = np.arange(width) < counts[seg, None]
             pc = P[:, cols]
-            tlo, thi = lo[:, seg, None], hi[:, seg, None]
-            keep = _kept(pc, tlo, thi, margin)
-            keep &= ~_dominated(pc, tlo, thi, margin)
-            for tile, kept in zip(tiles[seg], keep):
-                cand = cols[kept]
+            tlo, thi = lo[:, chunk, None], hi[:, chunk, None]
+            keep = _kept(pc, tlo, thi, margin, valid)
+            keep &= ~_dominated(pc, tlo, thi, margin, valid)
+            del pc
+            for tile, row, kept in zip(tiles[chunk], cols, keep):
+                cand = row[kept]
                 sc1, sc2 = s1[cand], s2[cand]
                 x0 = tile * TILE
                 step = max(1, min(TILE, BLOCK // (TILE * len(cand))))    # pixel rows per block

@@ -111,6 +111,6 @@ def edge_directions(d: FiniteMetric):
     if d.n != 2:
         raise DimensionMismatch("edge direction classes are defined for n = 2")
 
-    g12, g13, g23, g32 = (_generator(d, i, j) for i, j in ((0, 1), (0, 2), (1, 2), (2, 1)))
-    return [_lift((g[0] - h[0], g[1] - h[1]))
-            for g, h in ((g12, g13), (g13, g23), (g12, g32))]
+    # g12 = (r12, -r12), g13 = (r13, 0), g23 = (0, r23), g32 = (0, -r23)
+    r12, r13, r23 = 1 / d[0, 1], 1 / d[0, 2], 1 / d[1, 2]
+    return [_lift(v) for v in ((r12 - r13, -r12), (r13, -r23), (r12, r23 - r12))]

@@ -211,9 +211,11 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     A tile classifies its pixels in blocks of rows of at most
     max(BLOCK, TILE * K) pixel x sample pairs, and at small R a tile keeps
     nearly every sample: 40 B per pair of such a block is budgeted for the
-    tile stage (the dominance cut, then the blocks).  With every sample
-    kept, tracemalloc read peaks over the labels of 483-1120 B per sample
-    (1001 to 16001 samples, R = 8 to 200) against 672-1437 B budgeted.
+    tile stage (the tile bounds of a chunk of segments, then the blocks),
+    and 72 B per pixel of a band (TILE rows, padded to whole tiles) for
+    the band's pixel centers and facet values.  Over R = 8 to 2048 with
+    1000 to 20001 samples (HW and a circle of radius 5), tracemalloc read
+    peaks over the labels of 0.43-0.80 of the budget (80 cases).
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -225,6 +227,7 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     _check_memory(size, f"resolution {resolution} with {sample.count} samples "
                         f"needs {size} B of labels and tile bounds")
     size += 40 * max(_kernels.BLOCK, _kernels.TILE * sample.count)
+    size += 72 * _kernels.TILE ** 2 * ntiles
     _check_memory(size, f"resolution {resolution} with {sample.count} samples "
                         f"needs {size} B of labels, tile bounds and tile distances")
     _check_nonnegative("tie tolerance", tie_tolerance)

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_classify_grid, classify_points, facet_table, full_gauge
 from polyvor._chart import HALF_SQRT3, plot_to_point
-from polyvor._kernels import OUTSIDE, SEG, TIE, TILE, _dominated, classify_grid, gauge, slack
+from polyvor._kernels import (OUTSIDE, SEG, TIE, TILE, _dominated, _kept, classify_grid, gauge,
+                              slack)
 from polyvor.ball import unit_hull
 from polyvor.voronoi import _facet_data, _facet_values
 from polyvor import circle_curve, hardy_weinberg_curve, random_metric, sample_curve
@@ -131,7 +132,8 @@ def test_worked_rasters_match_pinned_hashes(hw_raster, name):
 
 
 # random metrics (all but seed 2 are tight: a triangle inequality is an
-# equality); a tolerance of 0.05 makes wide TIE bands
+# equality); a tolerance of 0.05 makes wide TIE bands, and 10.0 is above
+# every distance here, so every inside pixel is TIE
 @pytest.mark.parametrize("seed", range(8))
 def test_tiled_kernel_matches_brute_force(seed):
     d = random_metric(3, seed)
@@ -139,7 +141,7 @@ def test_tiled_kernel_matches_brute_force(seed):
     for curve in (hardy_weinberg_curve(), circle_curve(), circle_curve(0.7)):
         s = sample_curve(curve, 151)
         for res in (64, 100):                 # 100 is not a multiple of the tile
-            for tie_tol in (0.0, 1e-9, 1e-3, 0.05):
+            for tie_tol in (0.0, 1e-9, 1e-3, 0.05, 10.0):
                 assert _matches_brute_force(d, res, s.u1, s.u2, tie_tol)
 
 
@@ -151,7 +153,7 @@ def test_tiled_kernel_matches_brute_force(seed):
 def test_tiled_kernel_matches_brute_force_on_few_samples(metrics, s1, s2):
     s1, s2 = np.array(s1), np.array(s2)
     for name in ("unit", "line"):
-        for tie_tol in (0.0, 1e-9, 1e-3, 0.05):
+        for tie_tol in (0.0, 1e-9, 1e-3, 0.05, 10.0):
             assert _matches_brute_force(metrics[name], 37, s1, s2, tie_tol)
 
 
@@ -179,18 +181,20 @@ def sample_points(draw):
 # random_metric(3, s) is tight for 25 of the seeds s < 40
 @settings(derandomize=True, deadline=None)
 @given(seed=st.integers(0, 39), points=sample_points(), res=st.integers(2, 40),
-       tie_tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.05]))
+       tie_tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 10.0]))
 def test_tiled_kernel_matches_brute_force_property(seed, points, res, tie_tol):
     assert _matches_brute_force(random_metric(3, seed), res, *points, tie_tol)
 
 
-@pytest.mark.parametrize("tie_tol", [0.0, 0.05])
-def test_dominance_cut_drops_only_columns_past_the_second_nearest(tie_tol):
-    # the lemma of the kernel's "Dominance": at every inside pixel of its
-    # tile, a column the cut drops has a float gauge above the second-smallest
-    # gauge of all columns by more than the tie tolerance
+@pytest.mark.parametrize("tie_tol", [0.0, 1e-9, 0.05])
+def test_tile_cut_drops_only_columns_past_the_nearest(tie_tol):
+    # the lemma of the kernel's "Pruning" and "Dominance": at every inside
+    # pixel of its tile, a column that the LB test or the dominance cut drops
+    # has a float gauge above the smallest gauge of the tile's valid columns
+    # by more than the tie tolerance; padding is never kept
     rng = np.random.default_rng(22)
     cut_rows = set()
+    cut_total = 0
     for seed in range(40):
         _, a0, a1 = _facet_data(random_metric(3, seed))   # m/2 = 2 on tight metrics
         inner = rng.random((60, 2))
@@ -200,8 +204,8 @@ def test_dominance_cut_drops_only_columns_past_the_second_nearest(tie_tol):
         copies = pts[rng.integers(0, len(pts), 20)] + offsets
         s1, s2 = np.concatenate([pts, copies]).T
         margin = tie_tol + slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
-        # up to SEG tiles of one band in the lower half of the grid, whose
-        # pixel centers and extremes are computed as classify_grid does
+        # up to two segments of tiles of one band in the lower half of the
+        # grid, whose pixel centers and extremes are computed as classify_grid does
         res = int(rng.integers(2 * TILE, 600))
         y0 = TILE * int(rng.integers(0, res // (2 * TILE)))
         px = (np.arange(-(-res // TILE) * TILE) + 0.5) * (1.0 / res)
@@ -210,20 +214,34 @@ def test_dominance_cut_drops_only_columns_past_the_second_nearest(tie_tol):
         t2 = np.broadcast_to(t2, t1.shape)
         inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2 >= 0.0)
         tiles = np.flatnonzero(inside.reshape(TILE, -1, TILE).any(axis=(0, 2)))
-        tiles = rng.permutation(tiles)[:SEG]
+        tiles = rng.permutation(tiles)[:2 * SEG]
         pix = [(slice(None), slice(x0, x0 + TILE)) for x0 in tiles * TILE]
         q = a0[:, None, None] * t1 + a1[:, None, None] * t2
         lo = np.array([[np.min(qf[p][inside[p]]) for p in pix] for qf in q])[..., None]
         hi = np.array([[np.max(qf[p][inside[p]]) for p in pix] for qf in q])[..., None]
-        drop = _dominated(a0[:, None] * s1 + a1[:, None] * s2, lo, hi, margin)
-        for p, dropped in zip(pix, drop):
-            d1, d2 = s1 - t1[p][inside[p]][:, None], s2 - t2[p][inside[p]][:, None]
+        # each segment's columns: a random subset, in index order, padded to
+        # the longest with the other columns, which may be nearer
+        seg = np.arange(len(tiles)) // SEG
+        mask = rng.random((seg[-1] + 1, len(s1))) < rng.uniform(0.2, 1.0)
+        mask[:, 0] = True
+        counts = mask.sum(axis=1)
+        cols = np.argsort(~mask, axis=1, kind="stable")[seg, :counts.max()]
+        valid = np.arange(counts.max()) < counts[seg, None]
+        pc = (a0[:, None] * s1 + a1[:, None] * s2)[:, cols]
+        kept = _kept(pc, lo, hi, margin, valid)
+        assert not kept[~valid].any()
+        dominated = valid & _dominated(pc, lo, hi, margin, valid)
+        for p, row, ok, gone, cut in zip(pix, cols, valid, valid & ~kept | dominated, dominated):
+            t = inside[p]
+            d1, d2 = s1[row[ok]] - t1[p][t][:, None], s2[row[ok]] - t2[p][t][:, None]
             dist = gauge(a0, a1, d1, d2, np.empty(d1.shape))
-            second = np.partition(dist, 1, axis=1)[:, 1:2]
-            assert np.all(dist[:, dropped] - second > tie_tol)
-            if dropped.any():
+            best = dist.min(axis=1, keepdims=True)
+            assert np.all(dist[:, gone[ok]] - best > tie_tol)
+            if cut.any():
                 cut_rows.add(len(a0))
+                cut_total += cut.sum()
     assert cut_rows == {2, 3}
+    assert cut_total > 1000
 
 
 def test_numpy_path_alone_is_deterministic(metrics):

@@ -260,11 +260,12 @@ def test_raster_refuses_tile_distances_over_the_memory_budget(metrics, monkeypat
     # 2 MiB of physical memory gives a 512 KiB budget: R = 8 with 1001
     # samples needs 32544 B of labels and tile bounds, but the one tile
     # keeps every sample, in blocks of up to 2^15 pixel x sample pairs at
-    # 40 B per pair: 1280 KiB more
+    # 40 B per pair, and its band is one 16 x 16 tile at 72 B per pixel:
+    # 1298 KiB more
     sample = sample_curve(HW, 1001)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
     monkeypatch.setattr(voronoi.os, "sysconf", pages.__getitem__)
-    size = 512 + 32 * 1001 + 40 * 2 ** 15
+    size = 512 + 32 * 1001 + 40 * 2 ** 15 + 72 * 16 * 16
     message = (f"resolution 8 with 1001 samples needs {size} B of labels, tile bounds "
                "and tile distances, over a quarter of physical memory")
     with pytest.raises(ValueError) as err:
