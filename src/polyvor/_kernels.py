@@ -46,8 +46,16 @@ several segments are bounded in one call: a band's segments are grouped
 into chunks of at least one segment whose padded (m/2, tiles, columns)
 table of P holds at most BLOCK / 2 entries.  Each tile's row holds its
 segment's kept columns in index order, padded to the chunk's widest
-segment, and a mask of the valid columns keeps the padding out of UB1,
-out of the pure columns below and out of the result.  At 512^2 with 1001
+segment with its own rejects (a stable argsort of the segment's mask).
+The padding is inert, in floats.  A tile's lo and hi are a min and max
+over a subset of its segment's floats, so every x and y, and so every LB,
+is at least the segment's.  The segment's least-UB column has LB <= UB <=
+fl(margin + UB1), so it is in every row of the segment, with a tile UB at
+most UB1: a tile's cut is at most its segment's.  A reject has tile LB >
+segment cut >= tile cut, so it is never kept, and UB >= LB > UB1 (x <= -y,
+rounding being monotone), so it never holds the least UB.  In the
+dominance cut a padding column is a real sample, which is all the proof
+asks of a pure column.  At 512^2 with 1001
 samples a tile keeps 57-74 samples (6-7 %) on the Hardy-Weinberg curve
 under the worked metrics d1-d3 and on the circle under d1, 31 on the
 circle under the path metric.  Each tile runs the unchanged ``gauge`` and
@@ -105,26 +113,28 @@ A segment's lo and hi are the min and max of the same float a_f.t as its
 tiles', so one slack serves both levels.  S is read from the samples
 because they may leave the simplex (a circle of large radius does).
 
-Memory.  Bounds are computed one band at a time.  The band's pixel
-centers and facet values take up to 66 B per pixel of its TILE rows at
-m/2 = 3 (``raster_voronoi`` charges 72 B), and the segment bounds three
-float arrays of (segments, K).  A chunk's tile bounds are two float
-arrays of (m/2, tiles, columns) and a few of (tiles, columns); their cap
-of BLOCK / 2 entries keeps them, with the work array below, inside the
-40 B per pair that ``raster_voronoi`` charges the tile stage (at BLOCK
-entries, 512^2 rasters of 1001 samples peaked 1.64-1.68 MB over the
-labels against 1.57 MB charged, and ran no faster).  A block of a tile
-holds at most BLOCK pixel x sample pairs or one pixel row; its
-differences and distances are written into the two rows of one work
-array of max(BLOCK, TILE K) floats, made once per call, and ``gauge``'s
-product buffer is the one float array a block allocates.  A tile
+Memory.  ``scratch_bytes(res, K)`` charges what the kernel allocates
+beside its labels, and ``raster_voronoi`` checks labels plus scratch.
+Bounds are computed one band at a time: its pixel centers and facet
+values take up to 66 B per pixel of its TILE rows at m/2 = 3 (charged
+72 B per pixel of a band padded to whole tiles), and the segment bounds
+three float arrays of (segments, K) (charged 32 B per sample for each
+segment of a band, or for each tile of one segment when that is more).
+A chunk's tile bounds, two float arrays of (m/2, tiles, columns) and a
+few of (tiles, columns), are capped at BLOCK / 2 entries.  A block of a
+tile holds at most BLOCK pixel x sample pairs or one pixel row, written
+into the two rows of one work array of max(BLOCK, TILE K) floats made
+once per call; ``gauge``'s product buffer is the one array a block
+allocates.  These are charged 40 B per pair over max(BLOCK, TILE K)
+pairs (a cap of BLOCK entries went over that and ran no faster).  A tile
 classifies all of its TILE^2 pixels and writes the inside ones, so the
-label array is the only grid-sized allocation.  At 2^15 pairs a 512^2
-tile keeping up to 128 samples is one ``gauge`` call, where 2^14 split
-tiles of 65-128 samples in two.  Fresh block arrays of 2^15 pairs (over
-128 KiB each, glibc's default mmap threshold) were mapped and unmapped
-per block: 12244 minor page faults per 128^2 raster against 160 at 2^14,
-and about 50 % slower there; the work array leaves 26.
+label array is the only grid-sized allocation.  Over R = 8 to 2048 with
+1000 to 20001 samples (HW and a circle of radius 5), tracemalloc read
+peaks over the labels of 0.43-0.80 of the scratch term (80 cases).  At
+2^15 pairs a 512^2 tile of up to 128 kept samples is one ``gauge`` call;
+fresh block arrays that size, over glibc's 128 KiB mmap threshold, were
+mapped and unmapped per block (12244 minor page faults per 128^2 raster,
+against 26 with the work array).
 """
 
 from functools import reduce
@@ -172,6 +182,13 @@ def slack(a0, a1, reach):
     return SLACK_ULPS * np.finfo(np.float64).eps * (np.max(np.abs(a0) + np.abs(a1)) * reach)
 
 
+def scratch_bytes(res, k):
+    """Bytes charged beside the labels of res^2 pixels and k samples: see "Memory"."""
+    ntiles = -(-res // TILE)
+    regions = max(-(-ntiles // SEG), min(ntiles, SEG))
+    return 32 * regions * k + 40 * max(BLOCK, TILE * k) + 72 * TILE ** 2 * ntiles
+
+
 def _nearest(dist, tie_tol):
     """Per row of ``dist``: (label, best, second), label TIE when ambiguous.
 
@@ -191,13 +208,12 @@ def _nearest(dist, tie_tol):
     return lab, best, second
 
 
-def _kept(prows, lo, hi, margin, valid):
+def _kept(prows, lo, hi, margin):
     """Mask of the samples each region keeps (see the module docstring).
 
     ``prows`` yields P[f, cols] for the table's rows, one at a time; lo[f]
-    and hi[f] are extremes of a_f.t per region, broadcast against them, and
-    ``valid`` marks the real columns.  A region keeps the valid columns
-    with LB <= UB1 + margin, UB1 the least UB of its valid columns.
+    and hi[f] are extremes of a_f.t per region, broadcast against them.  A
+    region keeps the columns with LB <= UB1 + margin, UB1 their least UB.
     """
     for f, p in enumerate(prows):
         if f == 0:
@@ -212,17 +228,15 @@ def _kept(prows, lo, hi, margin, valid):
         np.maximum(lb, term, out=lb)
         np.minimum(nub, term, out=nub)
     del term
-    cut = margin - np.where(valid, nub, -np.inf).max(axis=-1, keepdims=True)
-    return (lb <= cut) & valid
+    return lb <= margin - nub.max(axis=-1, keepdims=True)
 
 
-def _dominated(prows, lo, hi, margin, valid):
+def _dominated(prows, lo, hi, margin):
     """Mask of the columns the dominance cut drops (see the module docstring).
 
     ``prows`` is the (m/2, regions, cols) array P[f, cols]; lo[f] and hi[f]
-    are (regions, 1) extremes of a_f.t, and ``valid`` marks the real
-    columns.  A region drops the columns farther than one valid column
-    pure on a signed facet by more than ``margin``.
+    are (regions, 1) extremes of a_f.t.  A region drops the columns farther
+    than one of its columns pure on a signed facet by more than ``margin``.
     """
     ub = np.subtract(hi, prows)                 # -min(x, y), a row at a time
     for u, p, l in zip(ub, prows, lo):
@@ -230,11 +244,11 @@ def _dominated(prows, lo, hi, margin, valid):
     drop = np.zeros(ub.shape[1:], dtype=bool)
     for f, p in enumerate(prows):
         bar = reduce(np.maximum, [u for g, u in enumerate(ub) if g != f]) + margin
-        # V: the least sigma P over the valid columns pure in (f, sigma);
+        # V: the least sigma P over the columns pure in (f, sigma);
         # for sigma = -1, -p > -W + margin is p < W - margin, W = -V
-        v = np.where((p - hi[f] >= bar) & valid, p, np.inf).min(axis=-1, keepdims=True)
+        v = np.where(p - hi[f] >= bar, p, np.inf).min(axis=-1, keepdims=True)
         drop |= p > v + margin
-        w = np.where((lo[f] - p >= bar) & valid, p, -np.inf).max(axis=-1, keepdims=True)
+        w = np.where(lo[f] - p >= bar, p, -np.inf).max(axis=-1, keepdims=True)
         drop |= p < w - margin
     return drop
 
@@ -304,7 +318,7 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
         del q
         starts = np.arange(0, len(tiles), SEG)
         seg_keep = _kept(P, np.minimum.reduceat(lo, starts, axis=1)[..., None],
-                         np.maximum.reduceat(hi, starts, axis=1)[..., None], margin, True)
+                         np.maximum.reduceat(hi, starts, axis=1)[..., None], margin)
         counts = seg_keep.sum(axis=1)
         order = np.argsort(~seg_keep, axis=1, kind="stable")   # kept columns first, in order
         del seg_keep
@@ -314,12 +328,11 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
             chunk = slice(j0 * SEG, j1 * SEG)
             seg = np.arange(len(tiles))[chunk] // SEG
             width = counts[j0:j1].max()
-            cols = order[seg, :width]                  # each tile's segment columns, padded
-            valid = np.arange(width) < counts[seg, None]
+            cols = order[seg, :width]        # each tile's segment columns, padded with rejects
             pc = P[:, cols]
             tlo, thi = lo[:, chunk, None], hi[:, chunk, None]
-            keep = _kept(pc, tlo, thi, margin, valid)
-            keep &= ~_dominated(pc, tlo, thi, margin, valid)
+            keep = _kept(pc, tlo, thi, margin)
+            keep &= ~_dominated(pc, tlo, thi, margin)
             del pc
             for tile, row, kept in zip(tiles[chunk], cols, keep):
                 cand = row[kept]

@@ -51,14 +51,17 @@ def hardy_weinberg_curve():
 
 
 def circle_curve(radius: float = 0.2):
-    """Plotting-chart circle about the centroid, p |-> angle 2*pi*p; a closed conic."""
+    """Plotting-chart circle about the centroid, p |-> angle 2*pi*(p mod 1); a closed conic.
+
+    p = 1 gives the p = 0 point bit for bit, so the seam closes exactly.
+    """
     cx, cy = 0.5, _chart.HALF_SQRT3 / 3.0
     rho = float(radius)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"circle radius must be finite and > 0, got {rho!r}")
 
     def chart(p):
-        th = 2.0 * math.pi * p
+        th = 2.0 * math.pi * (p % 1.0)
         return _chart.plot_to_point(cx + rho * np.cos(th), cy + rho * np.sin(th))[:2]
 
     return chart

@@ -79,8 +79,8 @@ class CurveSample:
 
     Raster labels and certificates name a sample by its index in ``params``.
     The params must name distinct points, except that a closed curve's last
-    point may repeat its first: that last sample is dropped (the seam).
-    Two consecutive samples at one point are refused (ValueError).
+    point may equal its first: that last sample is dropped (the seam).  Any
+    other two samples with equal chart floats are refused (ValueError).
     """
 
     params: np.ndarray     # (k,) float parameters
@@ -92,6 +92,7 @@ class CurveSample:
         """Sample the chart map ``curve`` at ``params``, in one call.
 
         It must return two arrays of the params' shape (else DimensionMismatch).
+        A refusal names the repeated pair of lowest first index.
         """
         params = np.asarray(params, dtype=np.float64)
         # an overflow to inf or NaN is refused below, as an extent error
@@ -102,22 +103,20 @@ class CurveSample:
                                     f"got shapes {[u.shape for u in chart]}")
         u1, u2 = chart
         _check_extent(u1, u2)
-        # the seam's rounding gap grows with the coordinates (1.7e-12 at circle
-        # radius 5000) but stays far below the samples' own spacing: two points
-        # 0.5 apart at u1 = -2^47 are two samples
-        if len(params) > 1:
-            e = [0, -1]
-            top = max(1.0, float(np.abs([u1[e], u2[e], 1.0 - u1[e] - u2[e]]).max()))
-            gap = math.hypot(u1[-1] - u1[0], u2[-1] - u2[0])
-            if gap <= 1e-12 or (gap <= 1e-12 * top and
-                                gap <= 1e-6 * np.max(np.hypot(np.diff(u1), np.diff(u2)))):
-                params, u1, u2 = params[:-1], u1[:-1], u2[:-1]
-        # a repeated point would tie its two labels everywhere in its cell
-        same = (u1[1:] == u1[:-1]) & (u2[1:] == u2[:-1])
+        if len(params) > 1 and u1[-1] == u1[0] and u2[-1] == u2[0]:
+            params, u1, u2 = params[:-1], u1[:-1], u2[:-1]
+        # a repeated point ties its twin everywhere; equal points are
+        # neighbours in (u1, u2) order, lower index first
+        order = np.lexsort((u2, u1))
+        v = u1[order]
+        same = v[1:] == v[:-1]
+        np.take(u2, order, out=v)             # one buffer for both coordinates
+        same &= v[1:] == v[:-1]
         if same.any():
-            i = int(np.argmax(same))
-            raise ValueError(f"samples {i} and {i + 1} (params {float(params[i])!r} and "
-                             f"{float(params[i + 1])!r}) are one point")
+            at = int(np.argmin(np.where(same, order[:-1], len(order))))
+            i, j = int(order[at]), int(order[at + 1])
+            raise ValueError(f"samples {i} and {j} (params {float(params[i])!r} and "
+                             f"{float(params[j])!r}) are one point")
         for arr in (params, u1, u2):
             arr.setflags(write=False)
         return cls(params, u1, u2)
@@ -156,7 +155,7 @@ def _check_extent(u1, u2):
 def sample_curve(curve, count: int) -> CurveSample:
     """Sample the chart map at ``count`` uniformly spaced parameters including endpoints.
 
-    Sampling peaks at 56 B per sample (tracemalloc: 40 B on the
+    Sampling peaks at 56 B per sample (tracemalloc: 49 B on the
     Hardy-Weinberg curve, 56 B on the circle), and the count is refused
     when that exceeds a quarter of physical memory.  A closed curve needs
     3, as its last sample repeats the first and is dropped.
@@ -203,33 +202,17 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
                    tie_tolerance: float = DEFAULT_TIE_TOL) -> VoronoiRaster:
     """Label a resolution^2 grid with nearest-sample indices under ``d``.
 
-    The int64 label array, plus the kernel's per-band bounds and per-tile
-    distances, may take at most a quarter of physical memory: counting and
-    rendering each make label-sized copies of the labels.  The bounds take
-    about 32 B per sample for each segment of a band (SEG tiles), or for
-    each tile of one segment when the band has fewer segments than that.
-    A tile classifies its pixels in blocks of rows of at most
-    max(BLOCK, TILE * K) pixel x sample pairs, and at small R a tile keeps
-    nearly every sample: 40 B per pair of such a block is budgeted for the
-    tile stage (the tile bounds of a chunk of segments, then the blocks),
-    and 72 B per pixel of a band (TILE rows, padded to whole tiles) for
-    the band's pixel centers and facet values.  Over R = 8 to 2048 with
-    1000 to 20001 samples (HW and a circle of radius 5), tracemalloc read
-    peaks over the labels of 0.43-0.80 of the budget (80 cases).
+    The int64 labels plus the kernel's scratch (``_kernels.scratch_bytes``,
+    see its "Memory") may take at most a quarter of physical memory:
+    counting and rendering each make label-sized copies of the labels.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     size = 8 * resolution * resolution
     _check_memory(size, f"resolution {resolution} needs a {size} B label array")
-    ntiles = -(-resolution // _kernels.TILE)
-    regions = max(-(-ntiles // _kernels.SEG), min(ntiles, _kernels.SEG))
-    size += 32 * regions * sample.count
+    size += _kernels.scratch_bytes(resolution, sample.count)
     _check_memory(size, f"resolution {resolution} with {sample.count} samples "
-                        f"needs {size} B of labels and tile bounds")
-    size += 40 * max(_kernels.BLOCK, _kernels.TILE * sample.count)
-    size += 72 * _kernels.TILE ** 2 * ntiles
-    _check_memory(size, f"resolution {resolution} with {sample.count} samples "
-                        f"needs {size} B of labels, tile bounds and tile distances")
+                        f"needs {size} B of labels and kernel scratch")
     _check_nonnegative("tie tolerance", tie_tolerance)
     _, a0, a1 = _facet_data(d)
     labels = _kernels.classify_grid(resolution, a0, a1, sample.u1, sample.u2,

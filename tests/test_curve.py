@@ -21,6 +21,8 @@ from polyvor import (
     veronese_point,
 )
 
+from polyvor._chart import HALF_SQRT3, plot_to_point
+
 from oracles import (
     chart2,
     circle_chart_scalar,
@@ -138,6 +140,22 @@ def test_circle_points_on_circle():
     xs, ys = plot_xy(circle(np.linspace(0, 1, 17)))
     assert np.all(np.abs((xs - cx) ** 2 + (ys - cy) ** 2 - 0.04) < 1e-12)
     assert abs(xs[0] - xs[-1]) < 1e-12 and abs(ys[0] - ys[-1]) < 1e-12
+
+
+def test_circle_seam_is_exact():
+    # p = 1 gives the p = 0 point bit for bit, and the p in [0, 1) keep the
+    # bits of the angle 2*pi*p; 1e-12 x 200001 is a chart map call only,
+    # as sample_curve refuses its repeated points
+    cx, cy = 0.5, HALF_SQRT3 / 3.0
+    for radius in (1e-12, 0.2, 0.7, 5, 5000):
+        chart = circle_curve(radius)
+        for n in (3, 151, 1001, 200001):
+            p = np.linspace(0.0, 1.0, n)
+            u1, u2 = chart(p)
+            assert _bits(u1[-1]) == _bits(u1[0]) and _bits(u2[-1]) == _bits(u2[0])
+            th = 2.0 * np.pi * p[:-1]
+            want = plot_to_point(cx + radius * np.cos(th), cy + radius * np.sin(th))[:2]
+            assert np.array_equal(_bits(np.stack([u1[:-1], u2[:-1]])), _bits(want)), (radius, n)
 
 
 def test_tangency_direction_matches_tangent(metrics):

@@ -188,10 +188,13 @@ def test_tiled_kernel_matches_brute_force_property(seed, points, res, tie_tol):
 
 @pytest.mark.parametrize("tie_tol", [0.0, 1e-9, 0.05])
 def test_tile_cut_drops_only_columns_past_the_nearest(tie_tol):
-    # the lemma of the kernel's "Pruning" and "Dominance": at every inside
-    # pixel of its tile, a column that the LB test or the dominance cut drops
-    # has a float gauge above the smallest gauge of the tile's valid columns
-    # by more than the tie tolerance; padding is never kept
+    # the lemma of the kernel's "Pruning", "Segment, then tile" and
+    # "Dominance", on tile rows built as classify_grid builds them: each
+    # segment's kept columns in index order, padded with its own rejects.
+    # No padding column is kept or holds a tile's least UB, and at every
+    # inside pixel of its tile a column that the LB test or the dominance
+    # cut drops has a float gauge above the least gauge over all samples by
+    # more than the tie tolerance
     rng = np.random.default_rng(22)
     cut_rows = set()
     cut_total = 0
@@ -214,32 +217,35 @@ def test_tile_cut_drops_only_columns_past_the_nearest(tie_tol):
         t2 = np.broadcast_to(t2, t1.shape)
         inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2 >= 0.0)
         tiles = np.flatnonzero(inside.reshape(TILE, -1, TILE).any(axis=(0, 2)))
-        tiles = rng.permutation(tiles)[:2 * SEG]
+        tiles = np.sort(rng.permutation(tiles)[:2 * SEG])
         pix = [(slice(None), slice(x0, x0 + TILE)) for x0 in tiles * TILE]
         q = a0[:, None, None] * t1 + a1[:, None, None] * t2
-        lo = np.array([[np.min(qf[p][inside[p]]) for p in pix] for qf in q])[..., None]
-        hi = np.array([[np.max(qf[p][inside[p]]) for p in pix] for qf in q])[..., None]
-        # each segment's columns: a random subset, in index order, padded to
-        # the longest with the other columns, which may be nearer
+        lo = np.array([[np.min(qf[p][inside[p]]) for p in pix] for qf in q])
+        hi = np.array([[np.max(qf[p][inside[p]]) for p in pix] for qf in q])
+        P = a0[:, None] * s1 + a1[:, None] * s2
+        starts = np.arange(0, len(tiles), SEG)
+        seg_keep = _kept(P, np.minimum.reduceat(lo, starts, axis=1)[..., None],
+                         np.maximum.reduceat(hi, starts, axis=1)[..., None], margin)
+        counts = seg_keep.sum(axis=1)
         seg = np.arange(len(tiles)) // SEG
-        mask = rng.random((seg[-1] + 1, len(s1))) < rng.uniform(0.2, 1.0)
-        mask[:, 0] = True
-        counts = mask.sum(axis=1)
-        cols = np.argsort(~mask, axis=1, kind="stable")[seg, :counts.max()]
-        valid = np.arange(counts.max()) < counts[seg, None]
-        pc = (a0[:, None] * s1 + a1[:, None] * s2)[:, cols]
-        kept = _kept(pc, lo, hi, margin, valid)
-        assert not kept[~valid].any()
-        dominated = valid & _dominated(pc, lo, hi, margin, valid)
-        for p, row, ok, gone, cut in zip(pix, cols, valid, valid & ~kept | dominated, dominated):
+        cols = np.argsort(~seg_keep, axis=1, kind="stable")[seg, :counts.max()]
+        pad = np.arange(counts.max()) >= counts[seg, None]
+        pc, lo, hi = P[:, cols], lo[..., None], hi[..., None]
+        kept = _kept(pc, lo, hi, margin)
+        dominated = _dominated(pc, lo, hi, margin)
+        ub = np.maximum(hi - pc, pc - lo).max(axis=0)
+        assert not kept[pad].any()
+        assert np.all(np.where(pad, ub, np.inf).min(axis=1) > np.where(pad, np.inf, ub).min(axis=1))
+        for p, row, gone in zip(pix, cols, ~kept | dominated):
             t = inside[p]
-            d1, d2 = s1[row[ok]] - t1[p][t][:, None], s2[row[ok]] - t2[p][t][:, None]
+            d1, d2 = s1 - t1[p][t][:, None], s2 - t2[p][t][:, None]
             dist = gauge(a0, a1, d1, d2, np.empty(d1.shape))
             best = dist.min(axis=1, keepdims=True)
-            assert np.all(dist[:, gone[ok]] - best > tie_tol)
-            if cut.any():
-                cut_rows.add(len(a0))
-                cut_total += cut.sum()
+            assert np.all(dist[:, row[gone]] - best > tie_tol)
+        cut = dominated & ~pad
+        if cut.any():
+            cut_rows.add(len(a0))
+            cut_total += cut.sum()
     assert cut_rows == {2, 3}
     assert cut_total > 1000
 

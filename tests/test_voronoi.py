@@ -123,8 +123,8 @@ def test_sample_curve_basic_properties():
 
 def test_closed_sample_drops_its_repeated_endpoint():
     # grouping the points in coordinate order kept both seam points at
-    # (0.7, 151), so their shared cell read TIE; at radius 5000 sin(2*pi)*r
-    # puts the seam points 1.7e-12 apart
+    # (0.7, 151), so their shared cell read TIE; the circle's p = 1 is its
+    # p = 0 point bit for bit, at radius 5000 too
     for radius, n in ((0.2, 1001), (0.7, 151), (0.7, 301), (5000, 101)):
         s = sample_curve(circle_curve(radius), n)
         assert s.count == len(s.u1) == n - 1
@@ -138,14 +138,14 @@ def test_closed_sample_drops_its_repeated_endpoint():
 
 
 def test_seam_gap_is_bounded_by_the_sample_spacing():
-    # 1e-12 of the coordinates' size is about 141 at u1 = -2^47, but these
-    # points are 0.5 apart, the samples' own spacing: no rounding gap
+    # only an endpoint equal to the first is a seam: these points at
+    # u1 = -2^47 are 0.5 apart, whatever the coordinates' size
     def far(p):
         return p * 0 - 2.0 ** 47, p
 
     assert CurveSample.at_params(far, [0.25, 0.75]).count == 2
     assert CurveSample.at_params(far, [0.25, 0.5, 0.75]).count == 3
-    # 200001 samples of radius 5000 are 0.16 apart, the seam 1.7e-12
+    # 200001 samples of radius 5000 are 0.16 apart, and the seam closes exactly
     for radius in (0.2, 0.7, 5, 5000):
         for n in (3, 1001, 200001):
             assert sample_curve(circle_curve(radius), n).count == n - 1
@@ -175,6 +175,17 @@ def test_consecutive_samples_at_one_point_are_refused():
     # the sample-array pins' curves keep every sample
     assert sample_curve(circle_curve(1e-12), 1001).count == 1000
     assert sample_curve(HW, 200001).count == 200001
+
+
+def test_samples_at_one_point_anywhere_are_refused():
+    # 1.5 periods of the circle pass every point of the first half twice;
+    # accepted with 30 samples, its 64^2 raster under the unit metric had
+    # 922 of 2048 inside pixels TIE
+    with pytest.raises(ValueError, match=r"samples 0 and 20 \(params 0.0 and 1.0\) are one point"):
+        CurveSample.at_params(circle_curve(0.2), np.linspace(0, 1.5, 31)[:-1])
+    # a repeat that is neither consecutive nor the seam
+    with pytest.raises(ValueError, match=r"samples 0 and 2 \(params 0.25 and 0.75\) are one point"):
+        CurveSample.at_params(lambda p: (np.abs(p - 0.5), p * 0), [0.25, 0.5, 0.75, 0.9])
 
 
 def test_samples_off_the_plane_are_refused():
@@ -245,12 +256,14 @@ def test_raster_refuses_a_label_array_over_the_memory_budget(metrics):
 
 def test_raster_refuses_tile_bounds_over_the_memory_budget(metrics):
     # 10^12 samples as zero-stride views: 32 B of tile bounds per sample
-    # is 29 TiB at R = 8, while the views hold one number
+    # alone is 29 TiB at R = 8, while the views hold one number; the one
+    # refusal names the labels and the whole kernel scratch
     n = 10**12
     flat = np.broadcast_to(np.array(0.5), (n,))
     sample = CurveSample(flat, flat, flat)
-    message = (f"resolution 8 with {n} samples needs {512 + 32 * n} B of labels "
-               "and tile bounds, over a quarter of physical memory")
+    size = 512 + 32 * n + 40 * 16 * n + 72 * 16 * 16
+    message = (f"resolution 8 with {n} samples needs {size} B of labels "
+               "and kernel scratch, over a quarter of physical memory")
     with pytest.raises(ValueError) as err:
         raster_voronoi(sample, metrics["unit"], 8)
     assert str(err.value) == message
@@ -266,8 +279,9 @@ def test_raster_refuses_tile_distances_over_the_memory_budget(metrics, monkeypat
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
     monkeypatch.setattr(voronoi.os, "sysconf", pages.__getitem__)
     size = 512 + 32 * 1001 + 40 * 2 ** 15 + 72 * 16 * 16
-    message = (f"resolution 8 with 1001 samples needs {size} B of labels, tile bounds "
-               "and tile distances, over a quarter of physical memory")
+    assert size == 512 + _kernels.scratch_bytes(8, 1001)
+    message = (f"resolution 8 with 1001 samples needs {size} B of labels and kernel "
+               "scratch, over a quarter of physical memory")
     with pytest.raises(ValueError) as err:
         raster_voronoi(sample, metrics["unit"], 8)
     assert str(err.value) == message
