@@ -80,7 +80,10 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     if d.n != 2:
         raise DimensionMismatch("balls are built for n = 2")
     c = _point_of(center, d.n_states, "center dimension does not match the metric")
-    r = Fraction(radius)
+    try:
+        r = Fraction(radius)
+    except OverflowError:       # Fraction(inf)
+        raise ValueError("radius must be finite") from None
     if r <= 0:
         raise ValueError("radius must be positive")
     gens = tuple(_lift(_generator(d, i, j)) for i in range(3) for j in range(3) if i != j)

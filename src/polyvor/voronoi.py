@@ -62,6 +62,18 @@ def _facet_values(exact, w1, w2):
     return [abs(a * w1 + b * w2) for a, b in exact]
 
 
+def _first_above(rows, w1, w2, eps):
+    """Position of the first row (a, b) in ``rows`` with |a w1 + b w2| > eps, else -1.
+
+    It stops there, so it makes position + 1 exact facet products, or
+    len(rows) when every value is <= eps.
+    """
+    for f, (a, b) in enumerate(rows):
+        if abs(a * w1 + b * w2) > eps:
+            return f
+    return -1
+
+
 def _check_nonnegative(name, value):
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
@@ -91,10 +103,16 @@ class CurveSample:
     def at_params(cls, curve, params) -> "CurveSample":
         """Sample the chart map ``curve`` at ``params``, in one call.
 
-        It must return two arrays of the params' shape (else DimensionMismatch).
-        A refusal names the repeated pair of lowest first index.
+        The params must be a nonempty 1-D array (else ValueError when empty,
+        DimensionMismatch when not 1-D), and the map must return two arrays
+        of their shape (else DimensionMismatch).  A refusal names the
+        repeated pair of lowest first index.
         """
         params = np.asarray(params, dtype=np.float64)
+        if params.ndim != 1:
+            raise DimensionMismatch(f"params must be 1-D, got shape {params.shape}")
+        if not len(params):
+            raise ValueError("params are empty: a sample needs at least one point")
         # an overflow to inf or NaN is refused below, as an extent error
         with np.errstate(over="ignore", invalid="ignore"):
             chart = [np.array(u, dtype=np.float64) for u in curve(params)]
@@ -195,6 +213,10 @@ class VoronoiRaster:
         return sorted(i for i, c in self.pixel_counts().items() if c >= cut)
 
     def parameter(self, label: int) -> float:
+        """The curve parameter of a sample label; TIE, OUTSIDE or any other
+        label that is not a sample index raises ValueError."""
+        if not 0 <= label < self.sample.count:
+            raise ValueError(f"label {label} is not a sample index in [0, {self.sample.count})")
         return float(self.sample.params[label])
 
 
@@ -273,7 +295,11 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     the largest sample coordinate.  A candidate is skipped when another
     sample's float gauge is below x's by over ``_kernels.slack(a0, a1, W)`` =
     32u A W > 2 gamma_4 A W + u A W (the cut's rounding): its exact gauge is
-    below eps.  The rest are checked exactly, samples nearest first.
+    below eps.  The rest are checked exactly, samples nearest first: a
+    sample is outside the ball at its first facet value |<a_f, w>| above
+    eps, trying first the facet that decided the last sample, and only a
+    sample with every value <= eps rejects the witness.  That decision
+    does not depend on the facet order, so it is the full maximum's.
     """
     exact, a0, a1 = _facet_data(d)
     if len(point) != d.n_states:
@@ -312,6 +338,7 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     x1, x2 = Fraction(sample.u1[idx]), Fraction(sample.u2[idx])
     top = max(np.max(np.abs(sample.u1)), np.max(np.abs(sample.u2)))     # S
     dist = np.empty(sample.count)
+    rows = list(exact)      # the sample check's facet order, last decider first
     trials = 0
     for ex, ey in edges:
         h = math.hypot(ex, ey)
@@ -337,8 +364,11 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
                 order = np.argsort(dist, kind="stable")
                 order = order[order != idx]
                 for s1, s2 in zip(sample.u1[order].tolist(), sample.u2[order].tolist()):
-                    if max(_facet_values(exact, Fraction(s1) - y1, Fraction(s2) - y2)) <= eps:
+                    f = _first_above(rows, Fraction(s1) - y1, Fraction(s2) - y2, eps)
+                    if f < 0:
                         break
+                    if f:
+                        rows.insert(0, rows.pop(f))
                 else:
                     return DimensionCertificate(AffinePoint((x1, x2, 1 - x1 - x2)),
                                                 AffinePoint((y1, y2, 1 - y1 - y2)), eps)

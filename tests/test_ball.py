@@ -310,3 +310,10 @@ def test_exact_geometry_leaves_as_fraction_triples(metrics):
             lifted = (t1, t2, -t1 - t2)
             # g_ij is +1/d_ij at i and -1/d_ij at j
             assert lifted == by_pair[lifted.index(max(lifted)), lifted.index(min(lifted))]
+
+
+@pytest.mark.parametrize("radius", [float("inf"), float("-inf")])
+def test_infinite_radius_is_a_value_error(metrics, radius):
+    # as AffinePoint refuses an infinite coordinate, not Fraction's OverflowError
+    with pytest.raises(ValueError, match="radius must be finite"):
+        build_ball((Fraction(1, 3),) * 3, radius, metrics["unit"])

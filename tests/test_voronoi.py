@@ -200,6 +200,19 @@ def test_samples_off_the_plane_are_refused():
         CurveSample.at_params(lambda p: (p[:1], p), [0.25, 0.75])
 
 
+def test_empty_params_are_refused():
+    # an empty sample would reach the raster's reductions with no samples
+    with pytest.raises(ValueError, match="params are empty"):
+        CurveSample.at_params(HW, [])
+
+
+@pytest.mark.parametrize("params", [0.5, [[0.25, 0.75]], np.zeros((2, 2))],
+                         ids=["scalar", "row", "square"])
+def test_params_that_are_not_1d_are_refused(params):
+    with pytest.raises(DimensionMismatch, match="params must be 1-D, got shape"):
+        CurveSample.at_params(HW, params)
+
+
 def test_chart_coordinates_past_the_gauge_resolution_are_refused():
     # from extent 2^48 - 1 on a gauge's rounding band covers the simplex
     for bad in (math.nan, math.inf, -math.inf, 2.0 ** 48):
@@ -295,6 +308,15 @@ def test_raster_parameters_checked_at_the_api(metrics, bad):
     raster = raster_voronoi(sample, metrics["unit"], 8)
     with pytest.raises(ValueError):
         raster.full_dim_labels(threshold=bad)
+
+
+def test_parameter_refuses_labels_that_are_not_sample_indices(metrics):
+    # TIE and OUTSIDE would index the params from the end
+    raster = raster_voronoi(sample_curve(HW, 51), metrics["unit"], 16)
+    for label in (TIE, OUTSIDE, 51):
+        with pytest.raises(ValueError, match=rf"label {label} is not a sample index in \[0, 51\)"):
+            raster.parameter(label)
+    assert raster.parameter(0) == 0.0 and raster.parameter(50) == 1.0
 
 
 def test_raster_pixel_counts_account_for_all_pixels(metrics):
@@ -408,8 +430,8 @@ def _log_trials(monkeypatch, filtered=False):
 
     With the filter off the band is infinite, so no trial is skipped.  The
     log gets "T" for each trial (one band per trial) and "E" for each exact
-    facet evaluation, so a "T" followed by an "E" is a trial the exact
-    check saw.
+    evaluation of eps at x (the sample checks use ``_first_above``), so a
+    "T" followed by an "E" is a trial the exact check saw.
     """
     log = []
     slack = _kernels.slack
@@ -454,6 +476,34 @@ def test_witness_on_a_vertex_direction_is_rejected(monkeypatch, metrics):
     monkeypatch.setattr(voronoi, "plot_to_point", lambda *args: (0.25 - h, 0.5 + h, 0.25))
     assert dimension_certificate(x, sample, metrics["unit"]) == NotFound(72)
     assert _trials_checked(log) == (72, 72)
+
+
+def test_sample_check_stops_at_the_first_facet_above_eps(monkeypatch):
+    # a confirmation decides each sample at its first facet value above eps,
+    # starting with the facet that decided the last sample: on the found
+    # certificates of seeds 0..9 that is about one exact product per sample,
+    # where evaluating every facet makes m/2 = 3
+    first = voronoi._first_above
+    tally = [0, 0]          # facet products, samples checked
+
+    def counted(rows, *args):
+        f = first(rows, *args)
+        tally[0] += f + 1 if f >= 0 else len(rows)
+        tally[1] += 1
+        return f
+
+    monkeypatch.setattr(voronoi, "_first_above", counted)
+    hw = sample_curve(HW, 1001)
+    products = checked = found = 0
+    for seed in range(10):
+        d = random_metric(3, seed)
+        for p in count_full_dim_cells_hw(d).parameters:
+            tally[:] = [0, 0]
+            k = int(np.argmin(np.abs(hw.params - float(p))))
+            if dimension_certificate(sample_point(hw, k), hw, d):
+                products, checked, found = products + tally[0], checked + tally[1], found + 1
+    assert found > 0 and checked >= 1000 * found
+    assert checked <= products <= 1.1 * checked
 
 
 # sha256 of certificate outcomes: a moved x or witness, a changed epsilon
