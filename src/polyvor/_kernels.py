@@ -113,8 +113,9 @@ A segment's lo and hi are the min and max of the same float a_f.t as its
 tiles', so one slack serves both levels.  S is read from the samples
 because they may leave the simplex (a circle of large radius does).
 
-Memory.  ``scratch_bytes(res, K)`` charges what the kernel allocates
-beside its labels, and ``raster_voronoi`` checks labels plus scratch.
+Memory.  ``scratch_bytes(res, K)`` charges what one process of the
+kernel allocates beside its labels, and ``raster_voronoi`` checks the
+labels plus ``processes(res)`` times that scratch.
 Bounds are computed one band at a time: its pixel centers and facet
 values take up to 66 B per pixel of its TILE rows at m/2 = 3 (charged
 72 B per pixel of a band padded to whole tiles), and the segment bounds
@@ -135,8 +136,29 @@ peaks over the labels of 0.43-0.80 of the scratch term (80 cases).  At
 fresh block arrays that size, over glibc's 128 KiB mmap threshold, were
 mapped and unmapped per block (12244 minor page faults per 128^2 raster,
 against 26 with the work array).
+
+Processes.  A band of TILE rows has its own segment and tile bounds and
+blocks and writes only its own rows, so bands can be labelled in any
+order, by any process, with the same bits.  ``processes(res)`` is 2 when
+the grid is at least SPLIT_RES wide, ``os.fork`` exists, the process may
+run on at least 2 CPUs and runs no other Python thread; else 1.  With 2,
+the labels live in a shared anonymous mapping, a forked worker labels
+every other band (so both halves meet the wide bottom and the narrow top
+of the simplex) and this process the rest; a worker that fails has its
+bands labelled here.  Exactly two: a higher count could not be measured
+on the 2-CPU host the kernel was timed on, where two threads were no
+faster than one.  SPLIT_RES is the measured break-even: with 1001
+Hardy-Weinberg samples under d1-d3 (best of many rasters, three
+alternated fresh processes per side) two processes took 15.0-18.7 ms
+against one's 15.3-16.8 ms at 32^2, 19.3-20.9 against 22.3-25.7 ms at
+48^2 and 43-61 against 65-69 ms at 128^2.  A fork, exit and wait took
+about 2 ms whether the caller held 0 or 800 MB.
 """
 
+import mmap
+import os
+import signal
+import threading
 from functools import reduce
 
 import numpy as np
@@ -149,6 +171,7 @@ TILE = 16         # tile edge in pixels
 SEG = 4           # tiles per segment of the two-level bound
 BLOCK = 2 ** 15   # most pixel x sample pairs per gauge call
 SLACK_ULPS = 16   # rounding slack of a gauge comparison, in eps * A * reach
+SPLIT_RES = 48    # least resolution whose bands are split over two processes
 
 
 def backend_name() -> str:
@@ -283,6 +306,48 @@ def _block_labels(a0, a1, s1, s2, t1, t2, tie_tol, work):
     return _nearest(dist.reshape(-1, len(s1)), tie_tol)[0]
 
 
+def processes(res):
+    """Processes that label the bands of a res x res grid: 2 or 1 (see "Processes")."""
+    if (res >= SPLIT_RES and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
+        return 2
+    return 1
+
+
+def _in_two_processes(label_band, bands):
+    """Run ``label_band`` on bands[1::2] in a forked worker and on bands[::2] here.
+
+    The worker never returns into the caller's code: it leaves by
+    ``os._exit``, so it runs no exit handler and flushes no stdio buffer
+    it inherited.  When it exits nonzero or is killed, its bands are
+    labelled here.  When this side raises, the worker is killed and
+    reaped before the exception goes on.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for y0 in bands[1::2]:
+                label_band(y0)
+            code = 0
+        finally:
+            os._exit(code)
+    exited = False
+    try:
+        for y0 in bands[::2]:
+            label_band(y0)
+        # wait without reaping, so that the pid stays ours until waitpid below
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        exited = True
+    finally:
+        if not exited:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        for y0 in bands[1::2]:
+            label_band(y0)
+
+
 def classify_grid(res, a0, a1, s1, s2, tie_tol):
     """Label a res x res grid of pixel centers by nearest sample (s1, s2).
 
@@ -291,9 +356,9 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
     Each TILE x TILE tile evaluates only the samples kept by its segment's
     bounds, then by its own and by the dominance cut (see the module
     docstring), so the labels are those of all pixel x sample pairs at a
-    fraction of the work.
+    fraction of the work.  The bands of TILE rows are labelled by
+    ``processes(res)`` processes (see "Processes").
     """
-    labels = np.full((res, res), OUTSIDE, dtype=np.int64)
     ntiles = -(-res // TILE)
     # the grid is padded to whole tiles; padded pixels lie right of x = 1
     # or above y = sqrt(3)/2, so the inside test drops them
@@ -302,14 +367,15 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
     P = a0[:, None] * s1 + a1[:, None] * s2          # (m/2, K): a_f . s_k
     margin = tie_tol + slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
     work = np.empty((2, max(BLOCK, TILE * len(s1))))
-    for y0 in range(0, res, TILE):
+
+    def label_band(y0):
         y = (np.arange(y0, y0 + TILE) + 0.5)[:, None] * dy
         t1, t2, t3 = plot_to_point(px, y)
         inside = (t1 >= 0.0) & (t3 >= 0.0) & (t2 >= 0.0)
         del t3
         tiles = np.flatnonzero(inside.reshape(TILE, ntiles, TILE).any(axis=(0, 2)))
         if len(tiles) == 0:
-            continue
+            return
         # min and max of a_f . t over the inside pixel centers of each tile
         q = a0[:, None, None] * t1 + a1[:, None, None] * t2
         lo = np.where(inside, q, np.inf).reshape(-1, TILE, ntiles, TILE).min(axis=(1, 3))
@@ -348,5 +414,15 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
                     band[r, x0:x0 + TILE] = lab.reshape(-1, TILE)
         rows = labels[y0:y0 + TILE]
         np.copyto(rows, band[:len(rows), :res], where=inside[:len(rows), :res])
-    return labels
 
+    bands = range(0, res, TILE)
+    if processes(res) == 1:
+        labels = np.full((res, res), OUTSIDE, dtype=np.int64)
+        for y0 in bands:
+            label_band(y0)
+        return labels
+    # a shared anonymous mapping: the worker's writes land in these pages
+    labels = np.frombuffer(mmap.mmap(-1, 8 * res * res), dtype=np.int64).reshape(res, res)
+    labels.fill(OUTSIDE)
+    _in_two_processes(label_band, bands)
+    return labels

@@ -16,12 +16,11 @@ parameter leaves (0,1)); this is reported, not silently dropped.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from polyvor.ball import edge_directions
-from polyvor.metrics import FiniteMetric
+from polyvor.metrics import FiniteMetric, _as_int
 
 
 class OddFacetCount(ValueError):
@@ -89,13 +88,8 @@ def full_dim_upper_bound(facet_count: int, dual_degree: int) -> Fraction:
     ball edge; a dual curve of degree delta meets each of the facet_count/2
     edge direction classes in at most delta points.
     """
-    try:
-        if isinstance(facet_count, bool) or isinstance(dual_degree, bool):
-            raise TypeError
-        facet_count, dual_degree = operator.index(facet_count), operator.index(dual_degree)
-    except TypeError:
-        raise ValueError("facet count and dual degree must be ints, got "
-                         f"({facet_count!r}, {dual_degree!r})") from None
+    facet_count = _as_int(facet_count, "facet count")
+    dual_degree = _as_int(dual_degree, "dual degree")
     if facet_count <= 0 or dual_degree <= 0:
         raise ValueError("facet count and dual degree must be positive")
     if facet_count % 2 != 0:

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from polyvor import _chart
+from polyvor.metrics import _as_int
 from polyvor.transport import AffinePoint
 
 
@@ -29,6 +30,7 @@ def veronese_point(n: int, p) -> AffinePoint:
 
     A float p is read at its exact binary value.
     """
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     p = Fraction(p)
@@ -54,6 +56,8 @@ def circle_curve(radius: float = 0.2):
     """Plotting-chart circle about the centroid, p |-> angle 2*pi*(p mod 1); a closed conic.
 
     p = 1 gives the p = 0 point bit for bit, so the seam closes exactly.
+    Parameters outside [0, 1] raise ParameterOutOfRange: past one period
+    the map would meet its own points again, up to rounding.
     """
     cx, cy = 0.5, _chart.HALF_SQRT3 / 3.0
     rho = float(radius)
@@ -61,6 +65,8 @@ def circle_curve(radius: float = 0.2):
         raise ValueError(f"circle radius must be finite and > 0, got {rho!r}")
 
     def chart(p):
+        if not np.all((p >= 0) & (p <= 1)):
+            raise ParameterOutOfRange("circle parameters must lie in [0, 1]")
         th = 2.0 * math.pi * (p % 1.0)
         return _chart.plot_to_point(cx + rho * np.cos(th), cy + rho * np.sin(th))[:2]
 

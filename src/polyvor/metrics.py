@@ -8,6 +8,7 @@ binary value; strings are read exactly by ``rational``: "0.1" is 1/10.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,16 @@ def rational(x) -> Fraction:
         if e and exp.isdecimal() and int(exp[:5]) > 4300:
             raise ValueError(f"exponent of {x!r} is over 4300 in magnitude")
     return Fraction(x)
+
+
+def _as_int(x, name) -> int:
+    """``operator.index(x)``; a bool or a non-integer raises ValueError naming ``name``."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an int, got {x!r}")
 
 
 class MetricError(ValueError):
@@ -132,6 +143,7 @@ def random_metric(n_states: int, seed: int) -> FiniteMetric:
     denominator, so it adds ints.  Rational entries keep exact equalities
     reachable, so boundary strata of downstream counts do occur.
     """
+    n_states = _as_int(n_states, "n_states")
     if n_states < 2:
         raise MetricError("need at least 2 states")
     rng = random.Random(seed)

@@ -25,7 +25,7 @@ import numpy as np
 from polyvor import _kernels
 from polyvor._chart import plot_to_point, plot_xy
 from polyvor.ball import unit_hull
-from polyvor.metrics import FiniteMetric
+from polyvor.metrics import FiniteMetric, _as_int
 from polyvor.transport import AffinePoint, DimensionMismatch
 
 DEFAULT_TIE_TOL = 1e-9
@@ -178,6 +178,7 @@ def sample_curve(curve, count: int) -> CurveSample:
     when that exceeds a quarter of physical memory.  A closed curve needs
     3, as its last sample repeats the first and is dropped.
     """
+    count = _as_int(count, "sample count")
     if count < 2:
         raise ValueError("need at least 2 samples")
     size = 56 * count
@@ -214,7 +215,8 @@ class VoronoiRaster:
 
     def parameter(self, label: int) -> float:
         """The curve parameter of a sample label; TIE, OUTSIDE or any other
-        label that is not a sample index raises ValueError."""
+        label that is not a sample index, or not an int, raises ValueError."""
+        label = _as_int(label, "label")
         if not 0 <= label < self.sample.count:
             raise ValueError(f"label {label} is not a sample index in [0, {self.sample.count})")
         return float(self.sample.params[label])
@@ -225,14 +227,16 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     """Label a resolution^2 grid with nearest-sample indices under ``d``.
 
     The int64 labels plus the kernel's scratch (``_kernels.scratch_bytes``,
-    see its "Memory") may take at most a quarter of physical memory:
-    counting and rendering each make label-sized copies of the labels.
+    see its "Memory") for each process that labels bands may take at most
+    a quarter of physical memory: counting and rendering each make
+    label-sized copies of the labels.
     """
+    resolution = _as_int(resolution, "resolution")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     size = 8 * resolution * resolution
     _check_memory(size, f"resolution {resolution} needs a {size} B label array")
-    size += _kernels.scratch_bytes(resolution, sample.count)
+    size += _kernels.processes(resolution) * _kernels.scratch_bytes(resolution, sample.count)
     _check_memory(size, f"resolution {resolution} with {sample.count} samples "
                         f"needs {size} B of labels and kernel scratch")
     _check_nonnegative("tie tolerance", tie_tolerance)

@@ -92,7 +92,7 @@ def test_upper_bound_rejects_bad_input():
                                             (True, 2), (6, True)])
 def test_upper_bound_refuses_non_integers(facets, degree):
     # truncating to int would read (6.7, 2) and (6, 2.9) as (6, 2), a bound of 6
-    with pytest.raises(ValueError, match="must be ints"):
+    with pytest.raises(ValueError, match="must be an int"):
         full_dim_upper_bound(facets, degree)
 
 
@@ -102,7 +102,7 @@ def test_upper_bound_takes_numpy_integers(facets, degree):
     # a facet count read off a NumPy array is an integer; its bool is not
     bound = full_dim_upper_bound(facets, degree)
     assert bound == 6 and type(bound.numerator) is int
-    with pytest.raises(ValueError, match="must be ints"):
+    with pytest.raises(ValueError, match="must be an int"):
         full_dim_upper_bound(np.True_, degree)
 
 

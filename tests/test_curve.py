@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from polyvor import (
+    CurveSample,
     ParameterOutOfRange,
     circle_curve,
     count_full_dim_cells_hw,
@@ -55,11 +56,16 @@ def test_parameter_range():
         veronese_point(2, -0.25)
     veronese_point(2, 0)    # endpoints allowed
     veronese_point(2, 1)
-    hw = hardy_weinberg_curve()
-    for bad in ([0.5, 1.5], [-0.25], [np.nan]):
-        with pytest.raises(ParameterOutOfRange):
-            hw(np.array(bad))
-    hw(np.array([0.0, 1.0]))
+    for chart in (hardy_weinberg_curve(), circle_curve(0.2)):
+        for bad in ([0.5, 1.5], [-0.25], [np.nan]):
+            with pytest.raises(ParameterOutOfRange):
+                chart(np.array(bad))
+        chart(np.array([0.0, 1.0]))
+    # 1.5 circle periods from p = 0.038 never meet p = 1 exactly, so no two
+    # samples were one point: accepted with 30 samples, its 64^2 raster
+    # under the unit metric had 913 of 2048 inside pixels TIE
+    with pytest.raises(ParameterOutOfRange):
+        CurveSample.at_params(circle_curve(0.2), np.linspace(0.038, 1.538, 31)[:-1])
 
 
 def test_hw_tangent_closed_form():

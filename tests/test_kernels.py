@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_classify_grid, classify_points, facet_table, full_gauge
 from polyvor._chart import HALF_SQRT3, plot_to_point
-from polyvor._kernels import (OUTSIDE, SEG, TIE, TILE, _dominated, _kept, classify_grid, gauge,
-                              slack)
+from polyvor import _kernels
+from polyvor._kernels import (OUTSIDE, SEG, SPLIT_RES, TIE, TILE, _dominated, _kept, classify_grid,
+                              gauge, slack)
 from polyvor.ball import unit_hull
 from polyvor.voronoi import _facet_data, _facet_values
-from polyvor import circle_curve, hardy_weinberg_curve, random_metric, sample_curve
+from polyvor import circle_curve, hardy_weinberg_curve, random_metric, raster_voronoi, sample_curve
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -314,3 +319,108 @@ def test_tie_band_appears_between_two_samples(metrics):
     assert (labels[inside] == TIE).any()
     assert (labels[inside] == 0).any()
     assert (labels[inside] == 1).any()
+
+
+# the band split over two processes (the kernel's "Processes"); the CPU
+# count is patched both ways, so both paths run on any host
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_case(seed_or_name, metrics, curve):
+    d = random_metric(3, seed_or_name) if isinstance(seed_or_name, int) else metrics[seed_or_name]
+    return sample_curve(hardy_weinberg_curve() if curve == "hw" else circle_curve(0.2), 501), d
+
+
+@pytest.mark.parametrize("curve", ["hw", "circle"])
+@pytest.mark.parametrize("name", ["unit", "two_cell", "three_cell", 4])  # d1, d2, d3; tight
+def test_split_labels_match_one_process(monkeypatch, metrics, name, curve):
+    s, d = _split_case(name, metrics, curve)
+    for res in (SPLIT_RES, SPLIT_RES + 9):       # the second is not a multiple of the tile
+        for tie_tol in (1e-9, 0.0):
+            _cpus(monkeypatch, 1)
+            one = raster_voronoi(s, d, res, tie_tol).labels
+            _cpus(monkeypatch, 2)
+            forks = _count_forks(monkeypatch)
+            two = raster_voronoi(s, d, res, tie_tol).labels
+            assert forks == [1]
+            _no_child_left()
+            assert np.array_equal(one, two)
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_split_redoes_the_bands_of_a_failed_worker(monkeypatch, metrics, how):
+    s, d = _split_case("two_cell", metrics, "hw")
+    _cpus(monkeypatch, 1)
+    want = raster_voronoi(s, d, SPLIT_RES).labels
+    parent = os.getpid()
+    block_labels = _kernels._block_labels
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("worker fails")
+        return block_labels(*args)
+
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(_kernels, "_block_labels", failing)
+    got = raster_voronoi(s, d, SPLIT_RES).labels
+    assert forks == [1]
+    _no_child_left()
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_split_reaps_the_worker_when_this_side_raises(monkeypatch, metrics, error):
+    s, d = _split_case("two_cell", metrics, "hw")
+    parent = os.getpid()
+    block_labels = _kernels._block_labels
+
+    def failing(*args):
+        if os.getpid() == parent:
+            raise error("parent fails")
+        return block_labels(*args)
+
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(_kernels, "_block_labels", failing)
+    with pytest.raises(error, match="parent fails"):
+        raster_voronoi(s, d, SPLIT_RES)
+    assert forks == [1]
+    _no_child_left()
+
+
+def test_split_worker_flushes_no_inherited_stdout():
+    # the worker leaves by os._exit: text buffered before the raster, in
+    # a block-buffered stdout, is written by this process alone
+    code = ("import os, sys\n"
+            "from polyvor import hardy_weinberg_curve, random_metric, raster_voronoi, sample_curve\n"
+            "from polyvor._kernels import SPLIT_RES\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.stdout.write('buffered once')\n"
+            "raster_voronoi(sample_curve(hardy_weinberg_curve(), 101), random_metric(3, 0), SPLIT_RES)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out = subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "buffered once"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from polyvor import (
     raster_voronoi,
     sample_curve,
     validate_metric,
+    veronese_point,
 )
 from polyvor import _kernels, voronoi
 from polyvor._chart import plot_xy
@@ -178,11 +180,12 @@ def test_consecutive_samples_at_one_point_are_refused():
 
 
 def test_samples_at_one_point_anywhere_are_refused():
-    # 1.5 periods of the circle pass every point of the first half twice;
+    # 1.5 periods of a circle pass every point of the first half twice;
     # accepted with 30 samples, its 64^2 raster under the unit metric had
-    # 922 of 2048 inside pixels TIE
+    # 922 of 2048 inside pixels TIE (circle_curve itself refuses p > 1)
+    circle = circle_curve(0.2)
     with pytest.raises(ValueError, match=r"samples 0 and 20 \(params 0.0 and 1.0\) are one point"):
-        CurveSample.at_params(circle_curve(0.2), np.linspace(0, 1.5, 31)[:-1])
+        CurveSample.at_params(lambda p: circle(p % 1.0), np.linspace(0, 1.5, 31)[:-1])
     # a repeat that is neither consecutive nor the seam
     with pytest.raises(ValueError, match=r"samples 0 and 2 \(params 0.25 and 0.75\) are one point"):
         CurveSample.at_params(lambda p: (np.abs(p - 0.5), p * 0), [0.25, 0.5, 0.75, 0.9])
@@ -300,6 +303,24 @@ def test_raster_refuses_tile_distances_over_the_memory_budget(metrics, monkeypat
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_raster_charges_the_scratch_of_each_labelling_process(metrics, monkeypatch, cpus):
+    # a budget of exactly the labels: the refusal names labels plus one
+    # scratch term per process that labels bands
+    res = _kernels.SPLIT_RES
+    sample = sample_curve(HW, 1001)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 * 8 * res * res}
+    monkeypatch.setattr(voronoi.os, "sysconf", pages.__getitem__)
+    assert _kernels.processes(res) == cpus
+    size = 8 * res * res + cpus * _kernels.scratch_bytes(res, 1001)
+    message = (f"resolution {res} with 1001 samples needs {size} B of labels and kernel "
+               "scratch, over a quarter of physical memory")
+    with pytest.raises(ValueError) as err:
+        raster_voronoi(sample, metrics["unit"], res)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
 def test_raster_parameters_checked_at_the_api(metrics, bad):
     sample = sample_curve(HW, 11)
@@ -316,7 +337,25 @@ def test_parameter_refuses_labels_that_are_not_sample_indices(metrics):
     for label in (TIE, OUTSIDE, 51):
         with pytest.raises(ValueError, match=rf"label {label} is not a sample index in \[0, 51\)"):
             raster.parameter(label)
+    for label in (0.5, True):
+        with pytest.raises(ValueError, match=f"label must be an int, got {label}"):
+            raster.parameter(label)
     assert raster.parameter(0) == 0.0 and raster.parameter(50) == 1.0
+    assert raster.parameter(np.int64(50)) == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: raster_voronoi(sample_curve(HW, 11), d, 16.5), "resolution must be an int, got 16.5"),
+    (lambda d: raster_voronoi(sample_curve(HW, 11), d, True), "resolution must be an int, got True"),
+    (lambda d: sample_curve(HW, 10.5), "sample count must be an int, got 10.5"),
+    (lambda d: random_metric(3.5, 1), "n_states must be an int, got 3.5"),
+    (lambda d: veronese_point(2.5, Fraction(1, 2)), "n must be an int, got 2.5"),
+])
+def test_non_integer_arguments_are_value_errors(metrics, call, message):
+    # operator.index, not int(): 16.5 is not truncated and True is not 1
+    with pytest.raises(ValueError) as err:
+        call(metrics["unit"])
+    assert str(err.value) == message
 
 
 def test_raster_pixel_counts_account_for_all_pixels(metrics):
