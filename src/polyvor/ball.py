@@ -56,6 +56,12 @@ def unit_hull(d: FiniteMetric) -> tuple:
     return tuple(verts[k:] + verts[:k])
 
 
+@lru_cache(maxsize=1024)       # bounded like unit_hull
+def _generators(d: FiniteMetric) -> tuple:
+    """The six lifted generators g_ij of a planar metric, ordered by (i, j), once per metric."""
+    return tuple(_lift(_generator(d, i, j)) for i in range(3) for j in range(3) if i != j)
+
+
 @dataclass(frozen=True)
 class PolyBall:
     """A planar Wasserstein ball conv{c + r*g} with exact hull data."""
@@ -82,11 +88,10 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
     c = _point_of(center, d.n_states, "center dimension does not match the metric")
     try:
         r = Fraction(radius)
-    except OverflowError:       # Fraction(inf)
+    except (ValueError, OverflowError):     # Fraction(nan), Fraction(inf)
         raise ValueError("radius must be finite") from None
     if r <= 0:
         raise ValueError("radius must be positive")
-    gens = tuple(_lift(_generator(d, i, j)) for i in range(3) for j in range(3) if i != j)
     c1, c2, c3 = c.coords
     hull = unit_hull(d)
     verts = tuple(AffinePoint((c1 + r * g1, c2 + r * g2, c3 - r * (g1 + g2)))
@@ -101,7 +106,7 @@ def build_ball(center, radius, d: FiniteMetric) -> PolyBall:
         # edge (u0, u1, u2), u2 = -u0 - u1, it is (u2 - u1, u0 - u2, u1 - u0)
         edges.append(((a, b), (-u0 - 2 * u1, 2 * u0 + u1, u1 - u0)))
 
-    return PolyBall(c, r, gens, verts, tuple(edges))
+    return PolyBall(c, r, _generators(d), verts, tuple(edges))
 
 
 def edge_directions(d: FiniteMetric):

@@ -28,11 +28,14 @@ class ParameterOutOfRange(ValueError):
 def veronese_point(n: int, p) -> AffinePoint:
     """Binomial density with parameter p: coords C(n,k) p^(n-k) (1-p)^k, exact.
 
-    A float p is read at its exact binary value.
+    A float p is read at its exact binary value; NaN and infinities are
+    out of range.
     """
     n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if isinstance(p, float) and not math.isfinite(p):     # Fraction would raise
+        raise ParameterOutOfRange(f"p = {p} outside [0, 1]")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ParameterOutOfRange(f"p = {p} outside [0, 1]")

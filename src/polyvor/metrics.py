@@ -134,7 +134,7 @@ def validate_metric(matrix) -> FiniteMetric:
 
 
 def random_metric(n_states: int, seed: int) -> FiniteMetric:
-    """Random valid metric on ``n_states`` points, deterministic per seed.
+    """Random valid metric on ``n_states`` points, deterministic per int seed.
 
     Draws small random rationals p/q (p in 1..24, q in 1..4) for the
     off-diagonal entries and repairs triangle violations with a
@@ -146,7 +146,7 @@ def random_metric(n_states: int, seed: int) -> FiniteMetric:
     n_states = _as_int(n_states, "n_states")
     if n_states < 2:
         raise MetricError("need at least 2 states")
-    rng = random.Random(seed)
+    rng = random.Random(_as_int(seed, "seed"))
     k = n_states
     m = [[0] * k for _ in range(k)]
     for i in range(k):

@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,14 +62,15 @@ def _facet_values(exact, w1, w2):
     return [abs(a * w1 + b * w2) for a, b in exact]
 
 
-def _first_above(rows, w1, w2, eps):
-    """Position of the first row (a, b) in ``rows`` with |a w1 + b w2| > eps, else -1.
+def _first_above(rows, s1, s2, eps):
+    """Position of the first row (a, b, c) in ``rows`` with |a s1 + b s2 - c| > eps, else -1.
 
     It stops there, so it makes position + 1 exact facet products, or
-    len(rows) when every value is <= eps.
+    len(rows) when every value is within eps of 0.
     """
-    for f, (a, b) in enumerate(rows):
-        if abs(a * w1 + b * w2) > eps:
+    for f, (a, b, c) in enumerate(rows):
+        v = a * s1 + b * s2 - c
+        if v > eps or v < -eps:
             return f
     return -1
 
@@ -147,6 +148,17 @@ class CurveSample:
     def points(self) -> np.ndarray:
         """A fresh (k, 3) array of the simplex coordinates (u1, u2, 1 - u1 - u2)."""
         return np.stack([self.u1, self.u2, 1.0 - self.u1 - self.u2], axis=1)
+
+    @cached_property
+    def _exact(self):
+        """The Fractions of u1 and u2 as two lists, built on first use.
+
+        They hold 248 B per sample and peak at 280 B (tracemalloc, on the
+        Hardy-Weinberg curve and on circles), charged before they are built.
+        """
+        size = 280 * self.count
+        _check_memory(size, f"an exact view of {self.count} samples needs {size} B")
+        return list(map(Fraction, self.u1.tolist())), list(map(Fraction, self.u2.tolist()))
 
     def spacing(self) -> float:
         """Max plotting-chart distance between consecutive samples."""
@@ -285,10 +297,11 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     would certify anything.  A candidate is accepted only after an exact
     check: every other sample strictly outside the ball, and x on exactly
     one facet functional (relative interior of an edge).  Returns a falsy
-    NotFound when no candidate survives.  The point is a plain sequence of
-    d.n_states coordinates (else DimensionMismatch), not necessarily summing
-    to 1, whose first two lie within 1e-9 of a sample in the plotting chart
-    (else ValueError).
+    NotFound when no candidate survives.  The metric must be planar (else
+    DimensionMismatch).  The point is a plain sequence of d.n_states
+    coordinates (else DimensionMismatch), not necessarily summing to 1,
+    whose first two lie within 1e-9 of a sample in the plotting chart (else
+    ValueError).
 
     Floats only skip candidates the exact check would reject.  Coordinates
     are floats, which Fraction reads exactly.  In the ``_kernels`` "Slack"
@@ -299,12 +312,18 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
     the largest sample coordinate.  A candidate is skipped when another
     sample's float gauge is below x's by over ``_kernels.slack(a0, a1, W)`` =
     32u A W > 2 gamma_4 A W + u A W (the cut's rounding): its exact gauge is
-    below eps.  The rest are checked exactly, samples nearest first: a
-    sample is outside the ball at its first facet value |<a_f, w>| above
-    eps, trying first the facet that decided the last sample, and only a
-    sample with every value <= eps rejects the witness.  That decision
-    does not depend on the facet order, so it is the full maximum's.
+    below eps.  The rest are checked exactly, samples nearest first, on
+    the sample's exact view (the Fractions of u1 and u2, built once per
+    sample on first use: 248 B per point, charged at its 280 B peak).  Each
+    checked trial computes the offset c_f = <a_f, y> once per facet; a
+    sample s is outside the ball at its first facet with v = <a_f, s> - c_f
+    above eps or below -eps, trying first the facet that decided the last
+    sample, and only a sample with every |v| <= eps rejects the witness.
+    That decision does not depend on the facet order, so it is the full
+    maximum's.
     """
+    if d.n != 2:
+        raise DimensionMismatch("dimension certificates are made for n = 2")
     exact, a0, a1 = _facet_data(d)
     if len(point) != d.n_states:
         raise DimensionMismatch(f"point has {len(point)} coordinates, not {d.n_states}")
@@ -339,10 +358,12 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
         t *= 0.5
     ts.append(max(floor, 1e-6))
 
-    x1, x2 = Fraction(sample.u1[idx]), Fraction(sample.u2[idx])
+    s1, s2 = sample._exact
+    x1, x2 = s1[idx], s2[idx]
     top = max(np.max(np.abs(sample.u1)), np.max(np.abs(sample.u2)))     # S
     dist = np.empty(sample.count)
-    rows = list(exact)      # the sample check's facet order, last decider first
+    # the sample check's rows [a, b, a.y], last decider first
+    rows = [[a, b, None] for a, b in exact]
     trials = 0
     for ex, ey in edges:
         h = math.hypot(ex, ey)
@@ -365,10 +386,11 @@ def dimension_certificate(point, sample: CurveSample, d: FiniteMetric):
                 # cannot both be eps, so one pair at eps is one facet of m
                 if eps <= 0 or sum(1 for v in vals if v == eps) != 1:
                     continue
+                for row in rows:
+                    row[2] = row[0] * y1 + row[1] * y2
                 order = np.argsort(dist, kind="stable")
-                order = order[order != idx]
-                for s1, s2 in zip(sample.u1[order].tolist(), sample.u2[order].tolist()):
-                    f = _first_above(rows, Fraction(s1) - y1, Fraction(s2) - y2, eps)
+                for k in order[order != idx].tolist():
+                    f = _first_above(rows, s1[k], s2[k], eps)
                     if f < 0:
                         break
                     if f:

@@ -312,7 +312,7 @@ def test_exact_geometry_leaves_as_fraction_triples(metrics):
             assert lifted == by_pair[lifted.index(max(lifted)), lifted.index(min(lifted))]
 
 
-@pytest.mark.parametrize("radius", [float("inf"), float("-inf")])
+@pytest.mark.parametrize("radius", [float("inf"), float("-inf"), float("nan")])
 def test_infinite_radius_is_a_value_error(metrics, radius):
     # as AffinePoint refuses an infinite coordinate, not Fraction's OverflowError
     with pytest.raises(ValueError, match="radius must be finite"):

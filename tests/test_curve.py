@@ -54,6 +54,9 @@ def test_parameter_range():
         veronese_point(2, F(3, 2))
     with pytest.raises(ParameterOutOfRange):
         veronese_point(2, -0.25)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ParameterOutOfRange):
+            veronese_point(2, bad)
     veronese_point(2, 0)    # endpoints allowed
     veronese_point(2, 1)
     for chart in (hardy_weinberg_curve(), circle_curve(0.2)):

@@ -117,6 +117,14 @@ def test_random_metric_is_valid_and_deterministic():
                     assert d[i, j] == d[j, i]
 
 
+def test_random_metric_refuses_seeds_that_are_not_ints():
+    # random.Random(None) seeds from the OS, so two calls would differ
+    for seed in (None, "a", 1.5, True):
+        with pytest.raises(ValueError, match=f"seed must be an int, got {seed!r}"):
+            random_metric(3, seed)
+    assert random_metric(3, np.int64(7)) == random_metric(3, 7)
+
+
 # sha256 of random_metric(k, seed) for k in (3, 4, 6, 20, 40) and seeds 0..4,
 # pinned from the closure on Fractions that the integer closure replaced
 RANDOM_METRIC_SHA256 = "8b4a71bd09a9006a16df722d584e34e18d49e5950f0d59042c988039df4fb8c3"

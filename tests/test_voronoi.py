@@ -24,7 +24,7 @@ from polyvor import (
     validate_metric,
     veronese_point,
 )
-from polyvor import _kernels, voronoi
+from polyvor import _kernels, ball, voronoi
 from polyvor._chart import plot_xy
 from polyvor._kernels import OUTSIDE, TIE
 from polyvor.ball import unit_hull
@@ -628,11 +628,67 @@ def test_facet_table_cache_is_bounded():
     # one entry per metric: a long run over distinct metrics must not grow
     # the per-metric caches past their bound
     for n in range(1, 1101):
-        _facet_data(validate_metric([[0, n, n], [n, 0, n], [n, n, 0]]))
-    for cache in (_facet_data, unit_hull):
+        d = validate_metric([[0, n, n], [n, 0, n], [n, n, 0]])
+        _facet_data(d)
+        build_ball((Fraction(1, 3),) * 3, 1, d)
+    for cache in (_facet_data, unit_hull, ball._generators):
         info = cache.cache_info()
         assert info.maxsize == 1024
         assert info.currsize == info.maxsize
+
+
+def test_exact_view_is_the_sample_read_exactly_once(metrics, monkeypatch):
+    # the certificate reads x and every other sample off one list of
+    # Fractions per coordinate, built at the first certificate of a sample
+    builds = []
+    check = voronoi._check_memory
+    monkeypatch.setattr(voronoi, "_check_memory", lambda *args: builds.append(args) or check(*args))
+    for curve, k in ((HW, 150), (circle_curve(0.2), 75)):
+        sample = sample_curve(curve, 301)
+        builds.clear()
+        for _ in range(2):
+            dimension_certificate(sample_point(sample, k), sample, metrics["unit"])
+        size = 280 * sample.count         # 301 on HW, 300 on the closed circle
+        assert builds == [(size, f"an exact view of {sample.count} samples needs {size} B")]
+        s1, s2 = sample._exact
+        assert all(type(v) is Fraction for v in s1 + s2)
+        assert s1 == [Fraction(float(u)) for u in sample.u1]
+        assert s2 == [Fraction(float(u)) for u in sample.u2]
+
+
+def test_exact_view_over_the_memory_budget_is_refused(metrics, monkeypatch):
+    # 1 MiB of physical memory gives a 256 KiB budget, and the view of 1001
+    # samples is charged 280 B each: 280280 B
+    sample = sample_curve(HW, 1001)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(voronoi.os, "sysconf", pages.__getitem__)
+    message = "an exact view of 1001 samples needs 280280 B, over a quarter of physical memory"
+    with pytest.raises(ValueError) as err:
+        dimension_certificate(sample_point(sample, 500), sample, metrics["unit"])
+    assert str(err.value) == message
+    assert "_exact" not in vars(sample)
+
+
+def test_sample_on_the_ball_is_not_above_eps():
+    # a sample with a s1 + b s2 - c = eps or -eps exactly lies on the ball:
+    # not above eps, so it rejects the witness; one step past it is outside
+    eps, a, b, c = Fraction(1, 7), Fraction(3, 5), Fraction(-2, 3), Fraction(1, 11)
+    s2 = Fraction(1, 3)
+    step = Fraction(1, 10**30)
+    for v in (eps, -eps):
+        s1 = (v + c - b * s2) / a
+        assert voronoi._first_above([[a, b, c]], s1, s2, eps) == -1
+        assert voronoi._first_above([[a, b, c]], s1 + (step if v > 0 else -step), s2, eps) == 0
+
+
+def test_certificate_refuses_a_metric_that_is_not_planar(metrics, monkeypatch):
+    # refused before the facet table, whose message names the raster
+    monkeypatch.setattr(voronoi, "_facet_data", None)
+    sample = sample_curve(HW, 101)
+    point = sample_point(sample, 50) + (0.0,)
+    with pytest.raises(DimensionMismatch) as err:
+        dimension_certificate(point, sample, random_metric(4, 1))
+    assert str(err.value) == "dimension certificates are made for n = 2"
 
 
 def test_certificate_requires_a_sample_point(metrics):
