@@ -25,21 +25,26 @@ of a table row a_f has P = -P[f,k], lo = -hi_f and hi = -lo_f, so with
 x = P[f,k] - hi_f and y = lo_f - P[f,k] over the m/2 rows,
 LB_k = max (max(x, y)) and UB_k = -min (min(x, y)).  A label depends only
 on the nearest sample (the first one on equal distances) and on whether
-another sample lies within tie_tol of it: TIE when m2(t) - best < tie_tol,
-m2(t) the second-smallest distance, which is never needed beyond
-best + tie_tol.  The sample of least UB, UB1, is within UB1, so
-best(t) <= UB1, and every sample with dist_k(t) < best(t) + tie_tol has
-LB_k < UB1 + tie_tol.  So R may keep, in index order, only the samples
-with ``LB_k <= UB1 + tie_tol + slack``: the nearest sample and every
-sample within tie_tol of it are among them, at every inside pixel of R,
-so the first minimum and the TIE test come out as over all samples.
+another sample lies within the tie band of it: TIE when
+m2(t) - best < tie_band = ``slack(a0, a1, S + 1)``, m2(t) the
+second-smallest distance.  A float gauge is within 4u A (S + 1) of the
+exact one at the pixel center's float value (3u A (S + 1) by "Slack", and
+u A (S + 1) for the rounded table), so gauges further apart than the band
+are in exact order: TIE marks what the floats cannot order, and every
+other pixel holds its exactly nearest sample.  The sample of least UB,
+UB1, is within UB1, so best(t) <= UB1, and every sample with
+dist_k(t) < best(t) + tie_band has LB_k < UB1 + tie_band.  So R may keep,
+in index order, only the samples with ``LB_k <= UB1 + margin``,
+margin = tie_band + slack (one float, twice): the nearest sample and
+every sample within the band of it are among them, at every inside pixel
+of R, so the first minimum and the TIE test come out as over all samples.
 
 Segment, then tile.  ``classify_grid`` walks the grid in bands of TILE
 pixel rows, cut into TILE x TILE tiles; the tiles of a band with an inside
 pixel are grouped, SEG at a time, into segments.  A segment is bounded
 against all K samples.  Its tiles are then bounded only against the
 segment's kept samples: those hold the nearest and every sample within
-tie_tol of it at each of the segment's pixels, and the least UB among
+the tie band of it at each of the segment's pixels, and the least UB among
 them still bounds best(t), so the argument above, run on the candidates,
 keeps them again, and the dominance cut below drops more.  The tiles of
 several segments are bounded in one call: a band's segments are grouped
@@ -71,17 +76,17 @@ brute_classify_grid``).
 
 Dominance.  Within one tile write, for sample k and table row f,
 x_f = P[f,k] - hi_f, y_f = lo_f - P[f,k] and ub_f = -min(x_f, y_f), so
-that |a_f.(s_k - t)| <= ub_f at every inside pixel t; margin = tie_tol +
-slack as above.  Sample j is pure in (f, +) when
+that |a_f.(s_k - t)| <= ub_f at every inside pixel t; margin =
+tie_band + slack as above.  Sample j is pure in (f, +) when
 x_f >= max_{g != f} ub_g + margin, and in (f, -) when y_f >= that bar.
 Then dist_j(t) = sigma (P[f,j] - a_f.t) at every inside pixel, sigma = +1
 or -1, while every sample k has dist_k(t) >= sigma (P[f,k] - a_f.t).
 With V the least sigma P[f,j] over the samples pure in (f, sigma), a
 sample k with sigma P[f,k] > V + margin is farther than that one pure
-sample by more than tie_tol at every inside pixel: neither the nearest
-nor within tie_tol of it, so the tile drops it.  The tile keeps the
-samples that pass both tests.  On 8-pixel tiles or on segments the cut
-cost more than it saved.
+sample by more than the tie band at every inside pixel: neither the
+nearest nor within the tie band of it, so the tile drops it.  The tile
+keeps the samples that pass both tests.  On 8-pixel tiles or on segments
+the cut cost more than it saved.
 
 In floats, in the notation of "Slack" and to first order in u: x, y and
 ub are at most A (S + 1) in size and within 3u A (S + 1) of their exact
@@ -95,10 +100,8 @@ of k exceeds it by at least sigma a_f.(s_k - s_j), which the rounded cut
 keeps above margin (1 - u) - 5u A S for the j with sigma P[f,j] = V.  The
 two float gauges add 6u A (S + 1), so the float gauge of k exceeds j's,
 and so the least float gauge, by more than margin (1 - u) -
-11u A (S + 1) >= tie_tol (1 - 2u) + 20u A (S + 1) > 0 while
-tie_tol < 10 A (S + 1).  From there on neither test cuts anything:
-|sigma P[f,k] - V| <= 2 A S and LB_k - UB1 <= A (S + 1) are both below
-the margin.
+11u A (S + 1) > 52u A (S + 1): rounded, that difference is still above
+the tie band.
 
 Slack.  The bound and the gauge are different float expressions, so the
 slack covers the rounding of both.  Let u = eps/2, A = max_f (|a0[f]| +
@@ -212,23 +215,19 @@ def scratch_bytes(res, k):
     return 32 * regions * k + 40 * max(BLOCK, TILE * k) + 72 * TILE ** 2 * ntiles
 
 
-def _nearest(dist, tie_tol):
-    """Per row of ``dist``: (label, best, second), label TIE when ambiguous.
+def _nearest(dist, tie_band):
+    """Per row of ``dist``: the first column of minimal distance, or TIE.
 
-    The label is the first column of minimal distance, or TIE when the
-    second-smallest distance is within ``tie_tol`` of it.  Overwrites the
-    minimal entries of ``dist``.  On the columns a tile keeps, ``second``
-    is the true second-smallest distance only when it is below
-    best + ``tie_tol``; the label is exact either way.
+    TIE when the second-smallest distance is within ``tie_band`` of the least
+    (see "Pruning").  Overwrites the minimal entries of ``dist``.
     """
     rows = np.arange(dist.shape[0])
     arg = np.argmin(dist, axis=1)
     best = dist[rows, arg]
     dist[rows, arg] = np.inf
-    second = dist.min(axis=1)
     lab = arg.astype(np.int64)
-    lab[second - best < tie_tol] = TIE
-    return lab, best, second
+    lab[dist.min(axis=1) - best < tie_band] = TIE
+    return lab
 
 
 def _kept(prows, lo, hi, margin):
@@ -293,7 +292,7 @@ def _chunks(counts, ntiles, rows):
     yield j0, len(counts)
 
 
-def _block_labels(a0, a1, s1, s2, t1, t2, tie_tol, work):
+def _block_labels(a0, a1, s1, s2, t1, t2, tie_band, work):
     """``_nearest`` labels of a block of pixel rows against the columns (s1, s2).
 
     t1 is (rows, TILE) and t2 (rows, 1); the differences and distances are
@@ -303,7 +302,7 @@ def _block_labels(a0, a1, s1, s2, t1, t2, tie_tol, work):
     n = t1.size * len(s1)
     d1 = np.subtract(s1, t1[..., None], out=work[0, :n].reshape(shape))
     dist = gauge(a0, a1, d1, (s2 - t2)[:, None, :], work[1, :n].reshape(shape))
-    return _nearest(dist.reshape(-1, len(s1)), tie_tol)[0]
+    return _nearest(dist.reshape(-1, len(s1)), tie_band)
 
 
 def processes(res):
@@ -348,7 +347,7 @@ def _in_two_processes(label_band, bands):
             label_band(y0)
 
 
-def classify_grid(res, a0, a1, s1, s2, tie_tol):
+def classify_grid(res, a0, a1, s1, s2):
     """Label a res x res grid of pixel centers by nearest sample (s1, s2).
 
     Pixel centers live on the plotting-chart box [0,1] x [0,sqrt(3)/2],
@@ -356,8 +355,9 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
     Each TILE x TILE tile evaluates only the samples kept by its segment's
     bounds, then by its own and by the dominance cut (see the module
     docstring), so the labels are those of all pixel x sample pairs at a
-    fraction of the work.  The bands of TILE rows are labelled by
-    ``processes(res)`` processes (see "Processes").
+    fraction of the work.  TIE marks the pixels whose two least float
+    gauges lie within the tie band (see "Pruning").  The bands of TILE rows
+    are labelled by ``processes(res)`` processes (see "Processes").
     """
     ntiles = -(-res // TILE)
     # the grid is padded to whole tiles; padded pixels lie right of x = 1
@@ -365,7 +365,8 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
     px = (np.arange(ntiles * TILE) + 0.5) * (1.0 / res)
     dy = HALF_SQRT3 / res
     P = a0[:, None] * s1 + a1[:, None] * s2          # (m/2, K): a_f . s_k
-    margin = tie_tol + slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
+    tie_band = slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
+    margin = tie_band + tie_band
     work = np.empty((2, max(BLOCK, TILE * len(s1))))
 
     def label_band(y0):
@@ -407,7 +408,7 @@ def classify_grid(res, a0, a1, s1, s2, tie_tol):
                 step = max(1, min(TILE, BLOCK // (TILE * len(cand))))    # pixel rows per block
                 for r0 in range(0, TILE, step):
                     r = slice(r0, r0 + step)
-                    lab = _block_labels(a0, a1, sc1, sc2, t1[r, x0:x0 + TILE], t2[r], tie_tol,
+                    lab = _block_labels(a0, a1, sc1, sc2, t1[r, x0:x0 + TILE], t2[r], tie_band,
                                         work)
                     pos = lab >= 0
                     lab[pos] = cand[lab[pos]]

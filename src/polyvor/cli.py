@@ -22,7 +22,7 @@ from polyvor.counting import count_full_dim_cells_hw, full_dim_upper_bound
 from polyvor.curve import circle_curve, hardy_weinberg_curve, veronese_point
 from polyvor.metrics import MetricError, validate_metric
 from polyvor.transport import wasserstein_distance
-from polyvor.voronoi import DEFAULT_TIE_TOL, FULL_DIM_THRESHOLD, raster_voronoi, sample_curve
+from polyvor.voronoi import FULL_DIM_THRESHOLD, raster_voronoi, sample_curve
 
 
 def load_metric(path):
@@ -117,7 +117,7 @@ def cmd_raster(args):
     d = load_metric(args.metric)
     curve = _make_curve(args)
     sample = sample_curve(curve, args.samples)
-    raster = raster_voronoi(sample, d, args.resolution, args.tie_tolerance)
+    raster = raster_voronoi(sample, d, args.resolution)
     counts = raster.pixel_counts()
     full = raster.full_dim_labels(args.threshold)
     out = {
@@ -240,7 +240,6 @@ def build_parser():
     p.add_argument("--curve", choices=("hw", "circle"), default="hw")
     p.add_argument("--samples", type=int, default=1001)
     p.add_argument("--resolution", type=int, default=512)
-    p.add_argument("--tie-tolerance", type=float, default=DEFAULT_TIE_TOL)
     p.add_argument("--threshold", type=float, default=FULL_DIM_THRESHOLD)
     p.add_argument("--circle-radius", type=float, default=0.2)
     p.add_argument("--out", help="output PPM path")

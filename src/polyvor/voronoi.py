@@ -28,7 +28,6 @@ from polyvor.ball import unit_hull
 from polyvor.metrics import FiniteMetric, _as_int
 from polyvor.transport import AffinePoint, DimensionMismatch
 
-DEFAULT_TIE_TOL = 1e-9
 FULL_DIM_THRESHOLD = 0.001
 WITNESS_OFFSETS = 24   # most halvings of the certificate's witness offset
 
@@ -234,9 +233,11 @@ class VoronoiRaster:
         return float(self.sample.params[label])
 
 
-def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
-                   tie_tolerance: float = DEFAULT_TIE_TOL) -> VoronoiRaster:
+def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int) -> VoronoiRaster:
     """Label a resolution^2 grid with nearest-sample indices under ``d``.
+
+    TIE marks the pixels whose two nearest samples the floats cannot order
+    (``_kernels`` "Pruning"); every other label is exact.
 
     The int64 labels plus the kernel's scratch (``_kernels.scratch_bytes``,
     see its "Memory") for each process that labels bands may take at most
@@ -251,10 +252,8 @@ def raster_voronoi(sample: CurveSample, d: FiniteMetric, resolution: int,
     size += _kernels.processes(resolution) * _kernels.scratch_bytes(resolution, sample.count)
     _check_memory(size, f"resolution {resolution} with {sample.count} samples "
                         f"needs {size} B of labels and kernel scratch")
-    _check_nonnegative("tie tolerance", tie_tolerance)
     _, a0, a1 = _facet_data(d)
-    labels = _kernels.classify_grid(resolution, a0, a1, sample.u1, sample.u2,
-                                    tie_tolerance)
+    labels = _kernels.classify_grid(resolution, a0, a1, sample.u1, sample.u2)
     labels.setflags(write=False)
     return VoronoiRaster(resolution, labels, sample)
 

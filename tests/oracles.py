@@ -30,8 +30,8 @@ shares as little code with it as possible:
 * ``full_gauge`` -- the float gauge as the running max over a table's
   rows as they are, no symmetry assumed;
 * ``brute_classify_grid`` -- raster labels from every pixel x sample pair
-  under ``full_gauge``, the row kernel the pruned ``classify_grid`` must
-  reproduce;
+  under ``full_gauge``, with the tie band worked out from the same table,
+  the row kernel the pruned ``classify_grid`` must reproduce;
 * ``palette_ppm_pixels`` -- the PPM pixel bytes of a label array by the
   palette formula (label modulo the palette, then the OUTSIDE and TIE
   colors written over it), which ``render.raster_ppm``'s color table must
@@ -59,11 +59,11 @@ from functools import lru_cache
 import numpy as np
 
 from polyvor._chart import HALF_SQRT3, INV_HALF_SQRT3, plot_xy
-from polyvor._kernels import OUTSIDE, TIE, _nearest, gauge
+from polyvor._kernels import OUTSIDE, TIE, _nearest, gauge, slack
 from polyvor.ball import unit_hull
 from polyvor.render import PALETTE
 from polyvor.transport import DimensionMismatch, Infeasible, _network_simplex, as_affine_point
-from polyvor.voronoi import DEFAULT_TIE_TOL, _facet_data, _facet_values
+from polyvor.voronoi import _facet_data, _facet_values
 
 
 class TooLarge(ValueError):
@@ -579,12 +579,18 @@ def full_gauge(a0, a1, d1, d2, out):
     return out
 
 
-def brute_classify_grid(res, a0, a1, s1, s2, tie_tol):
+def brute_classify_grid(res, a0, a1, s1, s2):
     """Label a res x res grid of pixel centers by nearest sample (s1, s2).
 
     Pixel centers live on the plotting-chart box [0,1] x [0,sqrt(3)/2],
-    row iy = 0 at the bottom; pixels outside the simplex are OUTSIDE.
+    row iy = 0 at the bottom; pixels outside the simplex are OUTSIDE.  A
+    pixel is TIE when its two least distances lie within the band
+    32u A (S + 1): u = eps/2, A = max_f (|a0[f]| + |a1[f]|) over the
+    table's rows, S the largest |s|.
     """
+    u = np.finfo(np.float64).eps / 2
+    top = max(np.max(np.abs(s1)), np.max(np.abs(s2)))
+    band = 32 * u * (np.max(np.abs(a0) + np.abs(a1)) * (top + 1.0))
     labels = np.full((res, res), OUTSIDE, dtype=np.int64)
     px = (np.arange(res) + 0.5) * (1.0 / res)
     dy = HALF_SQRT3 / res
@@ -601,7 +607,7 @@ def brute_classify_grid(res, a0, a1, s1, s2, tie_tol):
             continue
         np.subtract(s1, t1in[:, None], out=d1[:n])
         full_gauge(a0, a1, d1[:n], s2 - t2, dist[:n])
-        labels[iy, inside] = _nearest(dist[:n], tie_tol)[0]
+        labels[iy, inside] = _nearest(dist[:n], band)
     return labels
 
 
@@ -633,22 +639,22 @@ def classify(point, sample, d) -> int:
     """Index of the strictly nearest sample, or TIE (-2) when ambiguous.
 
     ``point`` is a coordinate sequence, read in floats.  Two samples tie
-    when their distances differ by less than DEFAULT_TIE_TOL.
+    when the floats cannot order their distances (``classify_points``).
     """
     _, a0, a1 = _facet_data(d)
     t1, t2 = float(point[0]), float(point[1])
-    lab, _, _ = classify_points(t1, t2, a0, a1, sample.u1, sample.u2, DEFAULT_TIE_TOL)
-    return int(lab[0])
+    return int(classify_points(t1, t2, a0, a1, sample.u1, sample.u2)[0])
 
 
-def classify_points(t1, t2, a0, a1, s1, s2, tie_tol):
+def classify_points(t1, t2, a0, a1, s1, s2):
     """Classify rational-chart points (t1, t2) by nearest sample (s1, s2).
 
     The grid kernel's row rule on loose points: ``gauge`` to every sample,
-    then ``_nearest``.  Returns (labels, best, second).
+    then ``_nearest`` with the kernel's band ``slack(a0, a1, S + 1)``.
+    Returns the labels.
     """
     t1 = np.asarray(t1, dtype=np.float64).reshape(-1, 1)
     t2 = np.asarray(t2, dtype=np.float64).reshape(-1, 1)
     dist = np.empty((len(t1), len(s1)))
     gauge(a0, a1, s1 - t1, s2 - t2, dist)
-    return _nearest(dist, tie_tol)
+    return _nearest(dist, slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0))

@@ -254,7 +254,7 @@ def test_boolean_metric_entries_are_json_errors(tmp_path, capsys, rows, cell):
     ("1", ["distance", "--no-exact", "--mu", "nan,0.5,0.5", "--nu", "1,0,0"],
      "ValueError"),
     ("1", ["raster", "--resolution", "8", "--samples", "11",
-           "--tie-tolerance", "nan"], "ValueError"),
+           "--threshold", "nan"], "ValueError"),
     ("1", ["raster", "--resolution", "8", "--samples", "11",
            "--threshold", "-1"], "ValueError"),
     ("1", ["distance", "--mu", "3/2,-1/2,0", "--nu", "1,0,0"],
@@ -292,6 +292,8 @@ def test_non_finite_and_out_of_range_inputs_are_json_errors(tmp_path, capsys,
      "argument --samples: invalid int value: 'abc'"),
     (["raster"], "the following arguments are required: --metric"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["raster", "--metric", "d.json", "--tie-tolerance", "0"],
+     "unrecognized arguments: --tie-tolerance 0"),
 ])
 def test_usage_errors_are_json_errors(capsys, argv, message):
     code, out = run(argv, capsys)
@@ -553,7 +555,7 @@ def hostile_argv(draw, root):
     elif command == "raster":
         argv = ["--curve", draw(st.sampled_from(["hw", "circle"])),
                 "--resolution", draw(int_values(17)), "--samples", draw(int_values(7))]
-        for flag in ("--tie-tolerance", "--threshold", "--circle-radius"):
+        for flag in ("--threshold", "--circle-radius"):
             if draw(st.booleans()):
                 argv += [flag, draw(value)]
         if draw(st.booleans()):

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -37,12 +38,12 @@ def _facet_tables(metrics):
     return [(_facet_data(d), facet_table(d)) for d in ds]
 
 
-def _matches_brute_force(d, res, s1, s2, tie_tol):
+def _matches_brute_force(d, res, s1, s2):
     """classify_grid on the library table against every pixel x sample pair over all m facets."""
     _, a0, a1 = _facet_data(d)
     _, b0, b1 = facet_table(d)
-    return np.array_equal(classify_grid(res, a0, a1, s1, s2, tie_tol),
-                          brute_classify_grid(res, b0, b1, s1, s2, tie_tol))
+    return np.array_equal(classify_grid(res, a0, a1, s1, s2),
+                          brute_classify_grid(res, b0, b1, s1, s2))
 
 
 def test_facet_functionals_are_antipodal(metrics):
@@ -116,7 +117,7 @@ def test_labels_match_pinned_hashes(metrics, name, curve):
     _, a0, a1 = _facet_data(metrics[name])
     c = hardy_weinberg_curve() if curve == "hw" else circle_curve()
     s = sample_curve(c, 201)
-    labels = classify_grid(128, a0, a1, s.u1, s.u2, 1e-9)
+    labels = classify_grid(128, a0, a1, s.u1, s.u2)
     assert labels.dtype == np.int64 and labels.shape == (128, 128)
     assert hashlib.sha256(labels.tobytes()).hexdigest() == PINNED_LABELS[name, curve]
 
@@ -137,8 +138,7 @@ def test_worked_rasters_match_pinned_hashes(hw_raster, name):
 
 
 # random metrics (all but seed 2 are tight: a triangle inequality is an
-# equality); a tolerance of 0.05 makes wide TIE bands, and 10.0 is above
-# every distance here, so every inside pixel is TIE
+# equality)
 @pytest.mark.parametrize("seed", range(8))
 def test_tiled_kernel_matches_brute_force(seed):
     d = random_metric(3, seed)
@@ -146,8 +146,26 @@ def test_tiled_kernel_matches_brute_force(seed):
     for curve in (hardy_weinberg_curve(), circle_curve(), circle_curve(0.7)):
         s = sample_curve(curve, 151)
         for res in (64, 100):                 # 100 is not a multiple of the tile
-            for tie_tol in (0.0, 1e-9, 1e-3, 0.05, 10.0):
-                assert _matches_brute_force(d, res, s.u1, s.u2, tie_tol)
+            assert _matches_brute_force(d, res, s.u1, s.u2)
+
+
+# dense samples on coarse grids: tiles keep more than BLOCK / TILE^2 = 128
+# samples, so a block is one pixel row (here up to all 2001 HW samples at
+# 16^2 and all 2000 circle samples at 40^2)
+@pytest.mark.parametrize("res, curve", [(16, "hw"), (40, "circle")])
+def test_tiled_kernel_matches_brute_force_on_wide_tiles(monkeypatch, metrics, res, curve):
+    s = sample_curve(hardy_weinberg_curve() if curve == "hw" else circle_curve(0.7), 2001)
+    widths = []
+    block_labels = _kernels._block_labels
+
+    def counted(*args):
+        widths.append(len(args[2]))
+        return block_labels(*args)
+
+    monkeypatch.setattr(_kernels, "_block_labels", counted)
+    for d in (metrics["unit"], metrics["line"], random_metric(3, 2), random_metric(3, 4)):
+        assert _matches_brute_force(d, res, s.u1, s.u2)
+    assert max(widths) > _kernels.BLOCK // TILE ** 2
 
 
 @pytest.mark.parametrize("s1, s2", [
@@ -158,8 +176,7 @@ def test_tiled_kernel_matches_brute_force(seed):
 def test_tiled_kernel_matches_brute_force_on_few_samples(metrics, s1, s2):
     s1, s2 = np.array(s1), np.array(s2)
     for name in ("unit", "line"):
-        for tie_tol in (0.0, 1e-9, 1e-3, 0.05, 10.0):
-            assert _matches_brute_force(metrics[name], 37, s1, s2, tie_tol)
+        assert _matches_brute_force(metrics[name], 37, s1, s2)
 
 
 def _simplex_point(uv):
@@ -185,21 +202,19 @@ def sample_points(draw):
 
 # random_metric(3, s) is tight for 25 of the seeds s < 40
 @settings(derandomize=True, deadline=None)
-@given(seed=st.integers(0, 39), points=sample_points(), res=st.integers(2, 40),
-       tie_tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 10.0]))
-def test_tiled_kernel_matches_brute_force_property(seed, points, res, tie_tol):
-    assert _matches_brute_force(random_metric(3, seed), res, *points, tie_tol)
+@given(seed=st.integers(0, 39), points=sample_points(), res=st.integers(2, 40))
+def test_tiled_kernel_matches_brute_force_property(seed, points, res):
+    assert _matches_brute_force(random_metric(3, seed), res, *points)
 
 
-@pytest.mark.parametrize("tie_tol", [0.0, 1e-9, 0.05])
-def test_tile_cut_drops_only_columns_past_the_nearest(tie_tol):
+def test_tile_cut_drops_only_columns_past_the_nearest():
     # the lemma of the kernel's "Pruning", "Segment, then tile" and
     # "Dominance", on tile rows built as classify_grid builds them: each
     # segment's kept columns in index order, padded with its own rejects.
     # No padding column is kept or holds a tile's least UB, and at every
     # inside pixel of its tile a column that the LB test or the dominance
     # cut drops has a float gauge above the least gauge over all samples by
-    # more than the tie tolerance
+    # more than the tie band
     rng = np.random.default_rng(22)
     cut_rows = set()
     cut_total = 0
@@ -211,7 +226,8 @@ def test_tile_cut_drops_only_columns_past_the_nearest(tie_tol):
         offsets = rng.choice([0.0, 1e-15, 1e-12, 1e-9], (20, 1))
         copies = pts[rng.integers(0, len(pts), 20)] + offsets
         s1, s2 = np.concatenate([pts, copies]).T
-        margin = tie_tol + slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
+        band = slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
+        margin = band + band
         # up to two segments of tiles of one band in the lower half of the
         # grid, whose pixel centers and extremes are computed as classify_grid does
         res = int(rng.integers(2 * TILE, 600))
@@ -246,7 +262,7 @@ def test_tile_cut_drops_only_columns_past_the_nearest(tie_tol):
             d1, d2 = s1 - t1[p][t][:, None], s2 - t2[p][t][:, None]
             dist = gauge(a0, a1, d1, d2, np.empty(d1.shape))
             best = dist.min(axis=1, keepdims=True)
-            assert np.all(dist[:, row[gone]] - best > tie_tol)
+            assert np.all(dist[:, row[gone]] - best > band)
         cut = dominated & ~pad
         if cut.any():
             cut_rows.add(len(a0))
@@ -257,14 +273,14 @@ def test_tile_cut_drops_only_columns_past_the_nearest(tie_tol):
 
 def test_numpy_path_alone_is_deterministic(metrics):
     a0, a1, s1, s2 = setup_arrays(metrics, "three_cell", 101)
-    one = classify_grid(64, a0, a1, s1, s2, 1e-9)
-    two = classify_grid(64, a0, a1, s1, s2, 1e-9)
+    one = classify_grid(64, a0, a1, s1, s2)
+    two = classify_grid(64, a0, a1, s1, s2)
     assert np.array_equal(one, two)
 
 
 def test_outside_pixels_marked(metrics):
     a0, a1, s1, s2 = setup_arrays(metrics, "unit", 51)
-    labels = classify_grid(32, a0, a1, s1, s2, 1e-9)
+    labels = classify_grid(32, a0, a1, s1, s2)
     # bottom corners of the box are inside; top corners far outside
     assert labels[-1, 0] == OUTSIDE
     assert labels[-1, -1] == OUTSIDE
@@ -277,15 +293,14 @@ def test_duplicate_samples_tie_everywhere(metrics):
     _, a0, a1 = _facet_data(metrics["unit"])
     s1 = np.array([0.25, 0.25])
     s2 = np.array([0.5, 0.5])
-    labels = classify_grid(16, a0, a1, s1, s2, 1e-9)
+    labels = classify_grid(16, a0, a1, s1, s2)
     inside = labels != OUTSIDE
     assert np.all(labels[inside] == TIE)
 
 
 def test_single_sample_owns_the_simplex(metrics):
     _, a0, a1 = _facet_data(metrics["line"])
-    labels = classify_grid(16, a0, a1, np.array([0.25]), np.array([0.5]),
-                                 1e-9)
+    labels = classify_grid(16, a0, a1, np.array([0.25]), np.array([0.5]))
     inside = labels != OUTSIDE
     assert inside.any()
     assert np.all(labels[inside] == 0)
@@ -294,7 +309,7 @@ def test_single_sample_owns_the_simplex(metrics):
 def test_points_agree_with_grid_pixels(metrics):
     a0, a1, s1, s2 = setup_arrays(metrics, "two_cell", 101)
     res = 64
-    labels = classify_grid(res, a0, a1, s1, s2, 1e-9)
+    labels = classify_grid(res, a0, a1, s1, s2)
     rng = np.random.default_rng(3)
     for _ in range(50):
         iy = int(rng.integers(0, res))
@@ -304,21 +319,85 @@ def test_points_agree_with_grid_pixels(metrics):
         py = (iy + 0.5) * SQRT3_2 / res
         t2 = py * 2.0 / math.sqrt(3.0)
         t1 = (ix + 0.5) / res - 0.5 * t2
-        lab, best, second = classify_points(t1, t2, a0, a1, s1, s2, 1e-9)
-        assert lab[0] == labels[iy, ix]
-        assert best[0] <= second[0]
+        assert classify_points(t1, t2, a0, a1, s1, s2)[0] == labels[iy, ix]
+
+
+def _pixel_centers(res):
+    """The chart floats (t1, t2) of the res x res pixel centers, as classify_grid has them."""
+    px = (np.arange(res) + 0.5) * (1.0 / res)
+    y = (np.arange(res) + 0.5)[:, None] * (HALF_SQRT3 / res)
+    t1, t2, _ = plot_to_point(px, y)
+    return t1, np.broadcast_to(t2, t1.shape)
+
+
+def _float_gauges(a0, a1, s1, s2, t1, t2):
+    """(len(t1), len(s1)) float gauges from the points (t1, t2) to the samples."""
+    return gauge(a0, a1, s1 - t1[:, None], s2 - t2[:, None], np.empty((len(t1), len(s1))))
+
+
+def _exact_gauges(exact, s1, s2, t1, t2):
+    """The exact gauges of the same pairs, all times one positive int.
+
+    A float is a dyadic rational: over a common denominator of the
+    coordinates and one of the functionals every facet value is an int, so
+    ``_facet_values`` on Python ints orders the gauges as Fractions do.
+    """
+    q = math.lcm(*(x.denominator for row in exact for x in row))
+    coords = [np.concatenate([s1, t1]).tolist(), np.concatenate([s2, t2]).tolist()]
+    scale = max(Fraction(x).denominator for c in coords for x in c)
+    k = len(s1)
+    w = []
+    for c in coords:
+        ints = np.array([int(Fraction(x) * scale) for x in c], dtype=object)
+        w.append(ints[:k] - ints[k:, None])
+    rows = [(int(a * q), int(b * q)) for a, b in exact]
+    return reduce(np.maximum, _facet_values(rows, *w))
 
 
 def test_tie_band_appears_between_two_samples(metrics):
-    """A generous tolerance turns the midline between two samples into TIE."""
+    """Two samples at one u2 are exactly as far from a region of pixels: TIE.
+
+    Under the unit metric the facet |w2| gives both gauges wherever it is
+    the largest facet for both, and there the two floats are one.
+    """
     _, a0, a1 = _facet_data(metrics["unit"])
     s1 = np.array([0.2, 0.6])
     s2 = np.array([0.2, 0.2])
-    labels = classify_grid(64, a0, a1, s1, s2, 0.05)
-    inside = labels != OUTSIDE
-    assert (labels[inside] == TIE).any()
-    assert (labels[inside] == 0).any()
-    assert (labels[inside] == 1).any()
+    labels = classify_grid(64, a0, a1, s1, s2)
+    t1, t2 = _pixel_centers(64)
+    tie = labels == TIE
+    dist = _float_gauges(a0, a1, s1, s2, t1[tie], t2[tie])
+    assert np.array_equal(dist[:, 0], dist[:, 1])
+    assert int(tie.sum()) == 168
+    assert int((labels == 0).sum()) == int((labels == 1).sum()) == 940
+
+
+# every inside pixel x sample pair decided exactly too, at the pixel
+# center's float value: a pixel is TIE exactly when its two least float
+# gauges lie within the tie band, and every other pixel holds its one
+# exactly nearest sample (the kernel's "Pruning")
+@pytest.mark.parametrize("res, n", [(24, 31), (32, 61)])
+def test_labels_outside_the_tie_band_are_exact(metrics, res, n):
+    t1, t2 = _pixel_centers(res)
+    ties = 0
+    for curve in (hardy_weinberg_curve(), circle_curve(0.7)):
+        s = sample_curve(curve, n)
+        top = max(np.max(np.abs(s.u1)), np.max(np.abs(s.u2)))
+        # random_metric(3, 2) is not tight, random_metric(3, 4) is
+        for d in (metrics["unit"], metrics["line"], random_metric(3, 2), random_metric(3, 4)):
+            exact, a0, a1 = _facet_data(d)
+            labels = classify_grid(res, a0, a1, s.u1, s.u2)
+            inside = labels != OUTSIDE
+            lab, p1, p2 = labels[inside], t1[inside], t2[inside]
+            dist = np.sort(_float_gauges(a0, a1, s.u1, s.u2, p1, p2), axis=1)
+            assert np.array_equal(lab == TIE, dist[:, 1] - dist[:, 0] < slack(a0, a1, top + 1.0))
+            ex = _exact_gauges(exact, s.u1, s.u2, p1, p2)
+            least = ex.min(axis=1)
+            ok = lab != TIE
+            assert np.all((ex == least[:, None]).sum(axis=1)[ok] == 1)
+            assert np.all(ex[ok, lab[ok]] == least[ok])
+            ties += int((~ok).sum())
+    assert ties > 0
 
 
 # the band split over two processes (the kernel's "Processes"); the CPU
@@ -354,15 +433,14 @@ def _split_case(seed_or_name, metrics, curve):
 def test_split_labels_match_one_process(monkeypatch, metrics, name, curve):
     s, d = _split_case(name, metrics, curve)
     for res in (SPLIT_RES, SPLIT_RES + 9):       # the second is not a multiple of the tile
-        for tie_tol in (1e-9, 0.0):
-            _cpus(monkeypatch, 1)
-            one = raster_voronoi(s, d, res, tie_tol).labels
-            _cpus(monkeypatch, 2)
-            forks = _count_forks(monkeypatch)
-            two = raster_voronoi(s, d, res, tie_tol).labels
-            assert forks == [1]
-            _no_child_left()
-            assert np.array_equal(one, two)
+        _cpus(monkeypatch, 1)
+        one = raster_voronoi(s, d, res).labels
+        _cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        two = raster_voronoi(s, d, res).labels
+        assert forks == [1]
+        _no_child_left()
+        assert np.array_equal(one, two)
 
 
 @pytest.mark.parametrize("how", ["raises", "killed"])

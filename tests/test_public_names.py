@@ -64,7 +64,6 @@ SETTABLE_VALUES = [
     "render._Svg.polygon(stroke=)",
     "render._Svg.polygon(width=)",
     "voronoi.VoronoiRaster.full_dim_labels(threshold=)",
-    "voronoi.raster_voronoi(tie_tolerance=)",
 ]
 
 

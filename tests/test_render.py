@@ -50,10 +50,9 @@ def test_ppm_same_label_same_color(tmp_path, metrics):
 
 def test_ppm_bytes_equal_the_palette_formula(tmp_path, metrics):
     # the first raster holds TIE (black) and OUTSIDE (white) pixels and
-    # labels past the 12-color palette; at 0.05 every inside pixel is TIE
-    hw = sample_curve(hardy_weinberg_curve(), 201)
-    rasters = [raster_voronoi(hw, metrics["three_cell"], 64, tie_tolerance=1e-3),
-               raster_voronoi(hw, metrics["three_cell"], 64, tie_tolerance=0.05),
+    # labels past the 12-color palette
+    rasters = [raster_voronoi(sample_curve(circle_curve(0.7), 201), metrics["line"], 64),
+               raster_voronoi(sample_curve(hardy_weinberg_curve(), 201), metrics["three_cell"], 64),
                raster_voronoi(sample_curve(circle_curve(0.7), 1001), metrics["unit"], 96)]
     labels = rasters[0].labels
     assert (labels == TIE).any() and (labels == OUTSIDE).any() and labels.max() >= 12

@@ -226,17 +226,18 @@ def test_chart_coordinates_past_the_gauge_resolution_are_refused():
     assert s.count == 2
 
 
-def test_exact_ties_go_to_the_lowest_sample_index():
-    # at tie tolerance 0, 420 pixels are exactly as near samples 37 and 38
-    # of this circle; the first-index rule gives them to 37 (coordinate
-    # order would give them to 38)
+def test_exact_ties_are_tie_pixels():
+    # 420 pixels are exactly as near samples 37 and 38 of this circle; they
+    # are TIE (468 TIE pixels in all), so neither the first index (37) nor
+    # coordinate order (38) takes them
     d = random_metric(3, 2)
     s = sample_curve(circle_curve(0.2), 151)
     _, a0, a1 = facet_table(d)
-    labels = raster_voronoi(s, d, 96, tie_tolerance=0.0).labels
-    want = brute_classify_grid(96, a0, a1, s.u1, s.u2, 0.0)
+    labels = raster_voronoi(s, d, 96).labels
+    want = brute_classify_grid(96, a0, a1, s.u1, s.u2)
     assert np.array_equal(labels, want)
-    assert int((labels == 37).sum()) == 442
+    assert int((labels == TIE).sum()) == 468
+    assert int((labels == 37).sum()) == int((labels == 38).sum()) == 22
 
 
 def test_sample_chart_geometry_matches_per_sample_scan():
@@ -324,8 +325,6 @@ def test_raster_charges_the_scratch_of_each_labelling_process(metrics, monkeypat
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
 def test_raster_parameters_checked_at_the_api(metrics, bad):
     sample = sample_curve(HW, 11)
-    with pytest.raises(ValueError):
-        raster_voronoi(sample, metrics["unit"], 8, tie_tolerance=bad)
     raster = raster_voronoi(sample, metrics["unit"], 8)
     with pytest.raises(ValueError):
         raster.full_dim_labels(threshold=bad)
