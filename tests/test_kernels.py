@@ -207,14 +207,17 @@ def test_tiled_kernel_matches_brute_force_property(seed, points, res):
     assert _matches_brute_force(random_metric(3, seed), res, *points)
 
 
-def test_tile_cut_drops_only_columns_past_the_nearest():
+@pytest.mark.parametrize("widen", [0.0, 1e-9, 0.05])
+def test_tile_cut_drops_only_columns_past_the_nearest(widen):
     # the lemma of the kernel's "Pruning", "Segment, then tile" and
     # "Dominance", on tile rows built as classify_grid builds them: each
     # segment's kept columns in index order, padded with its own rejects.
     # No padding column is kept or holds a tile's least UB, and at every
     # inside pixel of its tile a column that the LB test or the dominance
     # cut drops has a float gauge above the least gauge over all samples by
-    # more than the tie band
+    # more than the tie band.  The lemma holds for any band at least the
+    # rounding one, so it is checked at the kernel's band (widen = 0) and
+    # at bands widened by a tiny and by a coarse amount
     rng = np.random.default_rng(22)
     cut_rows = set()
     cut_total = 0
@@ -226,8 +229,9 @@ def test_tile_cut_drops_only_columns_past_the_nearest():
         offsets = rng.choice([0.0, 1e-15, 1e-12, 1e-9], (20, 1))
         copies = pts[rng.integers(0, len(pts), 20)] + offsets
         s1, s2 = np.concatenate([pts, copies]).T
-        band = slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
-        margin = band + band
+        rounding = slack(a0, a1, max(np.max(np.abs(s1)), np.max(np.abs(s2))) + 1.0)
+        band = rounding + widen
+        margin = band + rounding
         # up to two segments of tiles of one band in the lower half of the
         # grid, whose pixel centers and extremes are computed as classify_grid does
         res = int(rng.integers(2 * TILE, 600))
